@@ -34,7 +34,7 @@ inline constexpr char kVerdictIndexFileName[] = "verdicts.idx";
 inline constexpr char kVerdictLockFileName[] = "verdicts.lock";
 
 /// Tier 2 of the verdict cache: a persistent fingerprint -> verdict store
-/// shared across runs, processes, and the serve fleet's shards.
+/// shared across runs, processes, and a long-running dislock_serve.
 ///
 /// Layout inside the cache directory (docs/caching.md has the diagram):
 ///   verdicts.dlc   append-only log: 16-byte header (magic "DLKC",
@@ -59,8 +59,7 @@ inline constexpr char kVerdictLockFileName[] = "verdicts.lock";
 /// errors (e.g. the directory cannot be created).
 ///
 /// Concurrency: one mutex serializes the in-process API (the engine calls
-/// Lookup from pool workers; the serve fleet's shards share one store
-/// through the coordinator). Across processes, appenders serialize through
+/// Lookup from pool workers). Across processes, appenders serialize through
 /// the flock and re-scan the log before appending, so concurrent flushes
 /// lose no records and write no duplicates; lock-free readers are safe
 /// because records become visible only after their bytes (checksum

@@ -87,9 +87,8 @@ MultiSafetyReport IncrementalSafetyEngine::Check() {
 
   // ---- Replay the serial memoized scan exactly as a fresh-context
   // scratch run would (core/incremental/store.h). ----
-  auto [scan, num_groups] = BuildStoredPairScan(
-      view, pairs,
-      [&](size_t p) { return &store_.pairs.at(keys[p]); }, options);
+  auto [scan, num_groups] =
+      BuildStoredPairScan(view, pairs, keys, store_, options);
   std::optional<size_t> failing = ReplayPairScan(scan, num_groups, {}, &report);
   pairs_span.reset();
 
@@ -118,14 +117,8 @@ MultiSafetyReport IncrementalSafetyEngine::Check() {
       for (int v : cycle) ids.push_back(snap.id(v));
       cycle_keys.push_back(CanonicalCycleKey(ids));
     }
-    std::optional<FlatCycleChecker> flat_checker;
-    delta.cycles_recomputed = DecideDirtyCycles(
-        view, to_check, cycle_keys,
-        [&]() -> const FlatCycleChecker* {
-          flat_checker.emplace(view, pairs);
-          return &*flat_checker;
-        },
-        ctx_, &store_);
+    delta.cycles_recomputed =
+        DecideDirtyCycles(view, pairs, to_check, cycle_keys, ctx_, &store_);
     delta.cycles_reused =
         static_cast<int64_t>(to_check.size()) - delta.cycles_recomputed;
 

@@ -96,13 +96,6 @@ class IncrementalSafetyEngine {
     return static_cast<int64_t>(store_.cycles.size());
   }
 
-  /// The engine's verdict stores and context, exposed for the sharded
-  /// coordinator (core/incremental/sharded_catalog.h), which runs the
-  /// diff/replay loop itself and uses each shard engine purely as a
-  /// (store, context) home with shard-local Check() for free.
-  VerdictStore* mutable_store() { return &store_; }
-  EngineContext* ctx() { return ctx_; }
-
  private:
   const TransactionCatalog* catalog_;
   EngineContext* ctx_;

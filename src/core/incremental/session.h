@@ -36,11 +36,6 @@ struct SessionOptions {
   /// Handler for the `analyze` command; when unset, `analyze` reports an
   /// error explaining that the front end did not wire the analyzer in.
   SessionAnalyzeFn analyze;
-  /// Shard the catalog across this many shards
-  /// (core/incremental/sharded_catalog.h); 1 = the classic single-engine
-  /// backend. `check` reports are byte-identical at any shard count; only
-  /// `list` ids (lane-allocated) and the extra `stats` shard fields differ.
-  int shards = 1;
   /// Command lines longer than this many bytes draw a structured error
   /// instead of reaching the parser (and abort any open txn block);
   /// 0 disables the limit.

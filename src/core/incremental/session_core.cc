@@ -1,16 +1,13 @@
 #include "core/incremental/session_core.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "cache/verdict_store.h"
 #include "core/decision/context.h"
 #include "core/incremental/engine.h"
-#include "core/incremental/sharded_catalog.h"
 #include "core/report.h"
 #include "core/stats_export.h"
 #include "core/wire_keys.h"
@@ -39,12 +36,6 @@ std::string Quoted(const std::string& s) {
 std::string LineOpen() {
   return StrCat("{\"", wire::kSchemaVersionKey,
                 "\": ", std::to_string(wire::kSchemaVersion), ", ");
-}
-
-std::string FormatRatio(double r) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", r);
-  return buf;
 }
 
 constexpr char kHelp[] =
@@ -153,44 +144,6 @@ bool DecodeJsonString(const std::string& s, size_t* i, std::string* out) {
   return true;
 }
 
-/// Advances `i` past one JSON value of any type.
-void SkipJsonValue(const std::string& s, size_t* i) {
-  *i = SkipWs(s, *i);
-  char c = s[*i];
-  if (c == '"') {
-    std::string sink;
-    DecodeJsonString(s, i, &sink);
-    return;
-  }
-  if (c == '{' || c == '[') {
-    char close = c == '{' ? '}' : ']';
-    int depth = 0;
-    bool in_string = false;
-    for (;; ++*i) {
-      char d = s[*i];
-      if (in_string) {
-        if (d == '\\') ++*i;
-        else if (d == '"') in_string = false;
-        continue;
-      }
-      if (d == '"') in_string = true;
-      else if (d == c || (d == '{' || d == '[')) ++depth;
-      else if (d == close || d == '}' || d == ']') {
-        --depth;
-        if (depth == 0) {
-          ++*i;
-          return;
-        }
-      }
-    }
-  }
-  // number / true / false / null
-  while (*i < s.size() && s[*i] != ',' && s[*i] != '}' && s[*i] != ']' &&
-         s[*i] != ' ' && s[*i] != '\t' && s[*i] != '\n' && s[*i] != '\r') {
-    ++*i;
-  }
-}
-
 /// Extracts the cmd/arg/block strings from a validated top-level JSON
 /// object. Rejects unknown keys and non-string values for known keys, so a
 /// misspelled envelope fails loudly instead of silently dropping fields.
@@ -246,13 +199,12 @@ Status DecodeEnvelope(const std::string& s, SessionCommand* out) {
 }  // namespace
 
 /// Everything one loaded system carries: the database (kept alive for the
-/// catalog), and either the classic single-engine pair or a ShardedCatalog.
+/// catalog), the catalog, and the one engine watching it.
 struct SessionCore::Backend {
   std::shared_ptr<DistributedDatabase> db;
   std::unique_ptr<TransactionCatalog> catalog;
   std::unique_ptr<EngineContext> ctx;
   std::unique_ptr<IncrementalSafetyEngine> engine;
-  std::unique_ptr<ShardedCatalog> sharded;  ///< set iff options.shards > 1
 };
 
 class SessionCore::Impl {
@@ -330,14 +282,9 @@ class SessionCore::Impl {
     }
   }
 
-  void ExportBackendStats(obs::StatsSink* sink) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (state_.sharded != nullptr) state_.sharded->ExportStats(sink);
-  }
-
  private:
   bool Loaded() const {
-    return state_.catalog != nullptr || state_.sharded != nullptr;
+    return state_.catalog != nullptr;
   }
 
   std::string RenderErrorLocked(const std::string& verb,
@@ -386,54 +333,19 @@ class SessionCore::Impl {
     return tok;
   }
 
-  // ---- Backend dispatch helpers (single-engine vs sharded) ----
-  int NumTransactions() const {
-    return state_.sharded != nullptr ? state_.sharded->NumTransactions()
-                                     : state_.catalog->NumTransactions();
-  }
-  int64_t Generation() const {
-    return state_.sharded != nullptr ? state_.sharded->generation()
-                                     : state_.catalog->generation();
-  }
-  CatalogSnapshot TakeSnapshot() const {
-    return state_.sharded != nullptr ? state_.sharded->Snapshot()
-                                     : state_.catalog->Snapshot();
-  }
-  const EngineTotals& Totals() const {
-    return state_.sharded != nullptr ? state_.sharded->totals()
-                                     : state_.engine->totals();
-  }
-  int64_t PairStoreSize() const {
-    return state_.sharded != nullptr ? state_.sharded->PairStoreSize()
-                                     : state_.engine->PairStoreSize();
-  }
-  int64_t CycleStoreSize() const {
-    return state_.sharded != nullptr ? state_.sharded->CycleStoreSize()
-                                     : state_.engine->CycleStoreSize();
-  }
-
   /// (Re)initializes the backend from a parsed system — the shared tail of
   /// `load` and `system`. On error the previous backend stays live.
   Status InitBackend(const ParsedSystem& parsed) {
     Backend state;
     state.db = parsed.db;
-    if (options_.shards > 1) {
-      state.sharded = std::make_unique<ShardedCatalog>(
-          state.db.get(), options_.shards, options_.config);
-      for (int i = 0; i < parsed.system->NumTransactions(); ++i) {
-        auto id = state.sharded->Add(parsed.system->txn(i));
-        if (!id.ok()) return id.status();
-      }
-    } else {
-      state.catalog = std::make_unique<TransactionCatalog>(state.db.get());
-      for (int i = 0; i < parsed.system->NumTransactions(); ++i) {
-        auto id = state.catalog->Add(parsed.system->txn(i));
-        if (!id.ok()) return id.status();
-      }
-      state.ctx = std::make_unique<EngineContext>(options_.config);
-      state.engine = std::make_unique<IncrementalSafetyEngine>(
-          state.catalog.get(), state.ctx.get());
+    state.catalog = std::make_unique<TransactionCatalog>(state.db.get());
+    for (int i = 0; i < parsed.system->NumTransactions(); ++i) {
+      auto id = state.catalog->Add(parsed.system->txn(i));
+      if (!id.ok()) return id.status();
     }
+    state.ctx = std::make_unique<EngineContext>(options_.config);
+    state.engine = std::make_unique<IncrementalSafetyEngine>(
+        state.catalog.get(), state.ctx.get());
     state_ = std::move(state);
     return Status::OK();
   }
@@ -455,11 +367,12 @@ class SessionCore::Impl {
 
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"load\", \"ok\": true, \"path\": "
-          << Quoted(path) << ", \"transactions\": " << NumTransactions()
+          << Quoted(path)
+          << ", \"transactions\": " << state_.catalog->NumTransactions()
           << ", \"entities\": " << state_.db->NumEntities()
           << ", \"sites\": " << state_.db->NumSites() << "}\n";
     } else {
-      out << "loaded " << path << ": " << NumTransactions()
+      out << "loaded " << path << ": " << state_.catalog->NumTransactions()
           << " transactions, " << state_.db->NumEntities()
           << " entities over " << state_.db->NumSites() << " sites\n";
     }
@@ -482,12 +395,12 @@ class SessionCore::Impl {
 
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"system\", \"ok\": true, "
-          << "\"transactions\": " << NumTransactions()
+          << "\"transactions\": " << state_.catalog->NumTransactions()
           << ", \"entities\": " << state_.db->NumEntities()
           << ", \"sites\": " << state_.db->NumSites() << "}\n";
     } else {
-      out << "system: " << NumTransactions() << " transactions, "
-          << state_.db->NumEntities() << " entities over "
+      out << "system: " << state_.catalog->NumTransactions()
+          << " transactions, " << state_.db->NumEntities() << " entities over "
           << state_.db->NumSites() << " sites\n";
     }
     return Status::OK();
@@ -501,10 +414,7 @@ class SessionCore::Impl {
     auto txn = ParseTransactionText(cmd.block, *state_.db);
     if (!txn.ok()) return txn.status();
     std::string name = txn->name();
-    Result<TxnId> id =
-        state_.sharded != nullptr
-            ? state_.sharded->Add(std::move(txn).value())
-            : state_.catalog->Add(std::move(txn).value());
+    Result<TxnId> id = state_.catalog->Add(std::move(txn).value());
     if (!id.ok()) return id.status();
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"add\", \"ok\": true, \"name\": "
@@ -519,9 +429,7 @@ class SessionCore::Impl {
     DISLOCK_RETURN_NOT_OK(RequireLoaded());
     std::string name = FirstToken(cmd.arg);
     if (name.empty()) return Status::InvalidArgument("usage: remove <name>");
-    DISLOCK_RETURN_NOT_OK(state_.sharded != nullptr
-                              ? state_.sharded->RemoveByName(name)
-                              : state_.catalog->RemoveByName(name));
+    DISLOCK_RETURN_NOT_OK(state_.catalog->RemoveByName(name));
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"remove\", \"ok\": true, \"name\": "
           << Quoted(name) << "}\n";
@@ -543,9 +451,7 @@ class SessionCore::Impl {
     auto txn = ParseTransactionText(cmd.block, *state_.db);
     if (!txn.ok()) return txn.status();
     DISLOCK_RETURN_NOT_OK(
-        state_.sharded != nullptr
-            ? state_.sharded->ReplaceByName(name, std::move(txn).value())
-            : state_.catalog->ReplaceByName(name, std::move(txn).value()));
+        state_.catalog->ReplaceByName(name, std::move(txn).value()));
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"replace\", \"ok\": true, \"name\": "
           << Quoted(name) << "}\n";
@@ -558,14 +464,12 @@ class SessionCore::Impl {
   Status Check(std::ostringstream& out) {
     DISLOCK_RETURN_NOT_OK(RequireLoaded());
     ++checks_;
-    MultiSafetyReport report = state_.sharded != nullptr
-                                   ? state_.sharded->Check()
-                                   : state_.engine->Check();
+    MultiSafetyReport report = state_.engine->Check();
     // Per-check report stats accumulate across the session (counters sum).
     ExportMultiReportStats(report, options_.config.stats);
     // Commands are serialized between Check and this render, so the
     // snapshot here has the dense order the report's indices refer to.
-    CatalogSnapshot snap = TakeSnapshot();
+    CatalogSnapshot snap = state_.catalog->Snapshot();
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"check\", \"ok\": true, \"report\": "
           << MultiReportToJson(report, snap.View()) << "}\n";
@@ -606,7 +510,7 @@ class SessionCore::Impl {
       return Status::InvalidArgument(
           "analyze is not available: no analyzer wired into this session");
     }
-    CatalogSnapshot snap = TakeSnapshot();
+    CatalogSnapshot snap = state_.catalog->Snapshot();
     std::string body = options_.analyze(snap, options_.config, options_.json);
     if (options_.json) {
       // `body` is already a JSON object; embed it verbatim.
@@ -620,7 +524,7 @@ class SessionCore::Impl {
 
   Status List(std::ostringstream& out) {
     DISLOCK_RETURN_NOT_OK(RequireLoaded());
-    CatalogSnapshot snap = TakeSnapshot();
+    CatalogSnapshot snap = state_.catalog->Snapshot();
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"list\", \"ok\": true, "
           << "\"transactions\": [";
@@ -640,32 +544,18 @@ class SessionCore::Impl {
 
   Status Stats(std::ostringstream& out) {
     DISLOCK_RETURN_NOT_OK(RequireLoaded());
-    const EngineTotals& t = Totals();
+    const EngineTotals& t = state_.engine->totals();
     if (options_.json) {
       out << LineOpen() << "\"cmd\": \"stats\", \"ok\": true, "
-          << "\"generation\": " << Generation()
-          << ", \"transactions\": " << NumTransactions()
+          << "\"generation\": " << state_.catalog->generation()
+          << ", \"transactions\": " << state_.catalog->NumTransactions()
           << ", \"checks\": " << t.checks
-          << ", \"pair_store\": " << PairStoreSize()
-          << ", \"cycle_store\": " << CycleStoreSize()
+          << ", \"pair_store\": " << state_.engine->PairStoreSize()
+          << ", \"cycle_store\": " << state_.engine->CycleStoreSize()
           << ", \"totals\": {\"pairs_reused\": " << t.pairs_reused
           << ", \"pairs_recomputed\": " << t.pairs_recomputed
           << ", \"cycles_reused\": " << t.cycles_reused
           << ", \"cycles_recomputed\": " << t.cycles_recomputed << "}";
-      if (state_.sharded != nullptr) {
-        const ShardedCatalog& sc = *state_.sharded;
-        out << ", \"" << wire::kShards << "\": " << sc.num_shards() << ", \""
-            << wire::kShardTransactions << "\": [";
-        std::vector<ShardStats> breakdown = sc.ShardBreakdown();
-        for (size_t s = 0; s < breakdown.size(); ++s) {
-          if (s > 0) out << ", ";
-          out << breakdown[s].transactions;
-        }
-        out << "], \"" << wire::kCrossShardPairs
-            << "\": " << sc.cross_pairs() << ", \"" << wire::kLocalShardPairs
-            << "\": " << sc.local_pairs() << ", \"" << wire::kCrossShardRatio
-            << "\": " << FormatRatio(sc.CrossShardRatio());
-      }
       // The cache block appears exactly when a persistent store is
       // attached, so sessions without one keep their historical bytes.
       if (const cache::VerdictStore* store = options_.config.store) {
@@ -684,23 +574,14 @@ class SessionCore::Impl {
       out << "}\n";
       return Status::OK();
     }
-    out << "generation: " << Generation()
-        << "\ntransactions: " << NumTransactions() << "\nchecks: " << t.checks
-        << "\npair store: " << PairStoreSize()
-        << "; cycle store: " << CycleStoreSize() << "\ntotals: pairs "
-        << t.pairs_recomputed << " recomputed, " << t.pairs_reused
-        << " reused; cycles " << t.cycles_recomputed << " recomputed, "
-        << t.cycles_reused << " reused\n";
-    if (state_.sharded != nullptr) {
-      const ShardedCatalog& sc = *state_.sharded;
-      out << "shards: " << sc.num_shards() << "; transactions per shard:";
-      for (const ShardStats& s : sc.ShardBreakdown()) {
-        out << " " << s.transactions;
-      }
-      out << "\ncross-shard pairs: " << sc.cross_pairs() << " of "
-          << sc.cross_pairs() + sc.local_pairs() << " (ratio "
-          << FormatRatio(sc.CrossShardRatio()) << ")\n";
-    }
+    out << "generation: " << state_.catalog->generation()
+        << "\ntransactions: " << state_.catalog->NumTransactions()
+        << "\nchecks: " << t.checks
+        << "\npair store: " << state_.engine->PairStoreSize()
+        << "; cycle store: " << state_.engine->CycleStoreSize()
+        << "\ntotals: pairs " << t.pairs_recomputed << " recomputed, "
+        << t.pairs_reused << " reused; cycles " << t.cycles_recomputed
+        << " recomputed, " << t.cycles_reused << " reused\n";
     if (const cache::VerdictStore* store = options_.config.store) {
       cache::VerdictStore::Stats cs = store->stats();
       out << "persistent cache: " << cs.disk_hits << " disk hits, "
@@ -744,10 +625,6 @@ int64_t SessionCore::checks() const { return impl_->checks(); }
 int SessionCore::errors() const { return impl_->errors(); }
 
 void SessionCore::ExportSessionStats() { impl_->ExportSessionStats(); }
-
-void SessionCore::ExportBackendStats(obs::StatsSink* sink) {
-  impl_->ExportBackendStats(sink);
-}
 
 // ---- CommandAssembler -----------------------------------------------------
 

@@ -11,14 +11,9 @@
 
 namespace dislock {
 
-namespace obs {
-class StatsSink;
-}  // namespace obs
-
 class DistributedDatabase;
 class EngineContext;
 class IncrementalSafetyEngine;
-class ShardedCatalog;
 class TransactionCatalog;
 
 /// One fully assembled session command: a verb, the remainder of the
@@ -31,10 +26,10 @@ struct SessionCommand {
 };
 
 /// The transport-agnostic core of `dislock session` / `dislock_serve`: it
-/// owns the catalog (single-engine, or a ShardedCatalog when
-/// SessionOptions::shards > 1) and turns one assembled command into one
-/// rendered response — the byte-exact text or JSON-lines output the
-/// stream REPL has always produced, now producible from any transport.
+/// owns the catalog and the one engine watching it, and turns one assembled
+/// command into one rendered response — the byte-exact text or JSON-lines
+/// output the stream REPL has always produced, now producible from any
+/// transport.
 /// The REPL (session.cc), the tests, and the serve layer (src/serve/)
 /// all drive this one implementation.
 ///
@@ -84,9 +79,6 @@ class SessionCore {
   /// Pours session.commands/checks/errors into options().config.stats
   /// (the stream REPL calls this once at end-of-session).
   void ExportSessionStats();
-  /// Pours the sharding counters into `sink`; no-op on the single-engine
-  /// backend.
-  void ExportBackendStats(obs::StatsSink* sink);
 
  private:
   struct Backend;

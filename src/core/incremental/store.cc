@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -84,10 +85,9 @@ int64_t DecideDirtyPairs(const SystemView& view,
   // store. Write-only on purpose: the incremental path never *serves* a
   // verdict from the store (that would make check counters vary with
   // warmth — see docs/caching.md), but its work still warms the store for
-  // batch runs and for the session's own `analyze` command. The serve
-  // fleet's shards all reach the same store through their copied configs,
-  // and the pending buffer dedups by fingerprint, so the flushed bytes are
-  // independent of shard count and compute order.
+  // batch runs and for the session's own `analyze` command. The pending
+  // buffer dedups by fingerprint, so the flushed bytes are independent of
+  // compute order.
   if (options.store != nullptr) {
     for (size_t d = 0; d < dirty.size(); ++d) {
       const std::pair<int, int>& p = pairs[dirty[d]];
@@ -109,11 +109,11 @@ int64_t DecideDirtyPairs(const SystemView& view,
   return static_cast<int64_t>(dirty.size());
 }
 
-int64_t DecideDirtyCycles(
-    const SystemView& view, const std::vector<std::vector<int>>& to_check,
-    const std::vector<std::vector<TxnId>>& keys,
-    const std::function<const FlatCycleChecker*()>& checker,
-    EngineContext* ctx, VerdictStore* store) {
+int64_t DecideDirtyCycles(const SystemView& view,
+                          const std::vector<std::pair<int, int>>& pairs,
+                          const std::vector<std::vector<int>>& to_check,
+                          const std::vector<std::vector<TxnId>>& keys,
+                          EngineContext* ctx, VerdictStore* store) {
   std::vector<size_t> dirty;
   for (size_t c = 0; c < to_check.size(); ++c) {
     if (store->cycles.find(keys[c]) == store->cycles.end()) dirty.push_back(c);
@@ -121,16 +121,16 @@ int64_t DecideDirtyCycles(
 
   const EngineConfig& options = ctx->config();
   ThreadPool* pool = ctx->pool();
-  const FlatCycleChecker* flat_checker = nullptr;
-  if (options.use_flat_kernel && !dirty.empty() && checker) {
-    flat_checker = checker();
+  std::optional<FlatCycleChecker> flat_checker;
+  if (options.use_flat_kernel && !dirty.empty()) {
+    flat_checker.emplace(view, pairs);
   }
 
   // Again exhaustively, no early exit, for store determinism.
   std::vector<char> dirty_has_cycle(dirty.size(), 0);
   auto run_cycle = [&](size_t d) {
     const std::vector<int>& cycle = to_check[dirty[d]];
-    dirty_has_cycle[d] = (flat_checker != nullptr
+    dirty_has_cycle[d] = (flat_checker.has_value()
                               ? flat_checker->BcHasCycle(cycle)
                               : HasCycle(BuildCycleGraph(view, cycle)))
                              ? 1
@@ -157,8 +157,8 @@ int64_t DecideDirtyCycles(
 
 std::pair<std::vector<ScanPair>, int> BuildStoredPairScan(
     const SystemView& view, const std::vector<std::pair<int, int>>& pairs,
-    const std::function<const PairSafetyReport*(size_t)>& report_of,
-    const EngineConfig& options) {
+    const std::vector<std::pair<TxnId, TxnId>>& keys,
+    const VerdictStore& store, const EngineConfig& options) {
   std::vector<ScanPair> scan;
   scan.reserve(pairs.size());
   int num_groups = 0;
@@ -180,7 +180,7 @@ std::pair<std::vector<ScanPair>, int> BuildStoredPairScan(
       ScanPair sp;
       sp.txns = pairs[p];
       sp.group = it->second;
-      sp.report = report_of(p);
+      sp.report = &store.pairs.at(keys[p]);
       scan.push_back(sp);
     }
   } else {
@@ -189,7 +189,7 @@ std::pair<std::vector<ScanPair>, int> BuildStoredPairScan(
       ScanPair sp;
       sp.txns = pairs[p];
       sp.group = static_cast<int>(p);
-      sp.report = report_of(p);
+      sp.report = &store.pairs.at(keys[p]);
       scan.push_back(sp);
     }
   }

@@ -2,7 +2,6 @@
 #define DISLOCK_CORE_INCREMENTAL_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -21,11 +20,9 @@ class EngineContext;
 /// invariant under rotation but not under reversal.
 std::vector<TxnId> CanonicalCycleKey(const std::vector<TxnId>& cycle);
 
-/// The verdict stores of one incremental engine — or of one shard of a
-/// ShardedCatalog, where each shard owns the keys whose transactions all
-/// live on it and the coordinator owns the cross-shard remainder. Plain
-/// ordered maps: iteration is key order, so store contents (and everything
-/// derived from them) are schedule-independent.
+/// The verdict stores of one incremental engine. Plain ordered maps:
+/// iteration is key order, so store contents (and everything derived from
+/// them) are schedule-independent.
 struct VerdictStore {
   /// Unordered pair key (first < second) -> full PairSafetyReport.
   std::map<std::pair<TxnId, TxnId>, PairSafetyReport> pairs;
@@ -57,27 +54,27 @@ int64_t DecideDirtyPairs(const SystemView& view,
 /// Condition-(b) analogue: decides HasCycle(B_c) for every cycle of
 /// `to_check` (dense-index cycles; `keys[i]` their canonical TxnId keys)
 /// whose key is missing from `store->cycles`, and stores the bits — again
-/// exhaustively, for store determinism. When the config selects the flat
-/// kernel and there is dirty work, `checker()` is called (once) for the
-/// shared FlatCycleChecker; a caller fans several stores out of one Check,
-/// so the checker is built lazily and shared, never per store. Returns the
-/// number recomputed.
-int64_t DecideDirtyCycles(
-    const SystemView& view, const std::vector<std::vector<int>>& to_check,
-    const std::vector<std::vector<TxnId>>& keys,
-    const std::function<const FlatCycleChecker*()>& checker,
-    EngineContext* ctx, VerdictStore* store);
+/// exhaustively, for store determinism. `pairs` are the conflicting pairs
+/// of G; the FlatCycleChecker is built from them only when the config
+/// selects the flat kernel and there is dirty work. Returns the number
+/// recomputed.
+int64_t DecideDirtyCycles(const SystemView& view,
+                          const std::vector<std::pair<int, int>>& pairs,
+                          const std::vector<std::vector<int>>& to_check,
+                          const std::vector<std::vector<TxnId>>& keys,
+                          EngineContext* ctx, VerdictStore* store);
 
 /// Builds the deterministic serial-replay scan over stored verdicts exactly
 /// as a fresh-context scratch run would: fingerprint groups when the config
 /// asks for a verdict cache (whose initial state in a fresh context is
 /// empty, hence cached_safe is never set), singleton groups otherwise.
-/// `report_of(p)` resolves pair index p to its stored report (which must
-/// stay valid through the replay). Returns the scan and its group count.
+/// Pair index p resolves to `store.pairs.at(keys[p])`, which must hold
+/// every key and stay unchanged through the replay. Returns the scan and
+/// its group count.
 std::pair<std::vector<ScanPair>, int> BuildStoredPairScan(
     const SystemView& view, const std::vector<std::pair<int, int>>& pairs,
-    const std::function<const PairSafetyReport*(size_t)>& report_of,
-    const EngineConfig& options);
+    const std::vector<std::pair<TxnId, TxnId>>& keys,
+    const VerdictStore& store, const EngineConfig& options);
 
 }  // namespace dislock
 

@@ -139,18 +139,12 @@ inline constexpr char kRepairedSystem[] = "repaired_system";
 
 // ---- Serve protocol keys (dislock_serve, docs/serve.md) -------------------
 // The serve wire protocol is the session JSON-lines protocol verbatim; these
-// keys are the additions: sharding fields on the `stats` response and the
-// queue/client fields of the load-driver summary. Pinned by wire_format_test.
-inline constexpr char kShards[] = "shards";
-inline constexpr char kShard[] = "shard";
+// keys are the additions: the queue/client fields of the load-driver
+// summary. Pinned by wire_format_test.
 inline constexpr char kClientId[] = "client";
 inline constexpr char kClients[] = "clients";
 inline constexpr char kQueueDepth[] = "queue_depth";
 inline constexpr char kQueuePeak[] = "queue_peak";
-inline constexpr char kCrossShardPairs[] = "cross_shard_pairs";
-inline constexpr char kLocalShardPairs[] = "local_shard_pairs";
-inline constexpr char kCrossShardRatio[] = "cross_shard_ratio";
-inline constexpr char kShardTransactions[] = "shard_transactions";
 inline constexpr char kCommands[] = "commands";
 inline constexpr char kResponses[] = "responses";
 
@@ -218,22 +212,16 @@ inline constexpr char kMetricRepairPrefix[] = "repair";
 inline constexpr char kMetricSessionCommands[] = "session.commands";
 inline constexpr char kMetricSessionChecks[] = "session.checks";
 inline constexpr char kMetricSessionErrors[] = "session.errors";
-// Serve layer: service-wide counters plus per-shard gauges expanded as
-// "shard.<i>.<name>" under kMetricShardPrefix.
+// Serve layer: service-wide counters and queue gauges. The queue holds raw
+// input lines (every line of an add/replace block is one entry) and client
+// closes, not assembled commands, so serve.queue_peak can exceed
+// serve.commands.
 inline constexpr char kMetricServeCommands[] = "serve.commands";
 inline constexpr char kMetricServeResponses[] = "serve.responses";
 inline constexpr char kMetricServeClients[] = "serve.clients";
 inline constexpr char kMetricServeErrors[] = "serve.errors";
 inline constexpr char kMetricServeQueuePeak[] = "serve.queue_peak";
 inline constexpr char kMetricServeQueueDepth[] = "serve.queue_depth";
-inline constexpr char kMetricShardPrefix[] = "shard";
-inline constexpr char kMetricShardCount[] = "sharded.shards";
-inline constexpr char kMetricCrossShardPairs[] = "sharded.cross_pairs";
-inline constexpr char kMetricLocalShardPairs[] = "sharded.local_pairs";
-inline constexpr char kMetricCrossShardRatio[] = "sharded.cross_ratio";
-inline constexpr char kMetricShardTransactions[] = "transactions";
-inline constexpr char kMetricShardPairStore[] = "pair_store";
-inline constexpr char kMetricShardCycleStore[] = "cycle_store";
 
 }  // namespace wire
 }  // namespace dislock

@@ -1,8 +1,6 @@
 #include "gen/replay.h"
 
-#include <algorithm>
 #include <mutex>
-#include <string_view>
 
 #include "core/incremental/session_core.h"
 #include "serve/service.h"
@@ -15,7 +13,6 @@ namespace {
 SessionOptions MakeSessionOptions(const ReplayOptions& options) {
   SessionOptions session;
   session.json = true;
-  session.shards = options.shards;
   session.config = options.config;
   session.config.num_threads = options.threads;
   return session;
@@ -59,55 +56,35 @@ ReplayResult ReplayService(const Trace& trace, const ReplayOptions& options) {
   service.Drain();
   ReplayResult result;
   result.commands = service.commands();
+  result.checks = service.checks();
   result.errors = service.errors();
   {
     std::lock_guard<std::mutex> lock(mu);
     result.output = std::move(output);
   }
-  std::string checks = CheckLines(result.output);
-  result.checks = std::count(checks.begin(), checks.end(), '\n');
   service.Shutdown();
   return result;
 }
 
-std::string CheckLines(const std::string& output) {
-  std::string out;
-  size_t start = 0;
-  while (start < output.size()) {
-    size_t end = output.find('\n', start);
-    if (end == std::string::npos) end = output.size();
-    std::string_view line(output.data() + start, end - start);
-    if (line.find("\"cmd\": \"check\"") != std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    start = end + 1;
-  }
-  return out;
-}
-
 VerifyResult VerifyReplay(const Trace& trace,
-                          const std::vector<int>& shards_grid,
                           const std::vector<int>& threads_grid) {
-  ReplayOptions reference_options;
-  ReplayResult reference = ReplayDirect(trace, reference_options);
-  std::string want = CheckLines(reference.output);
+  ReplayResult reference = ReplayDirect(trace, ReplayOptions());
   VerifyResult result;
-  for (int shards : shards_grid) {
-    for (int threads : threads_grid) {
-      ReplayOptions options;
-      options.shards = shards;
-      options.threads = threads;
-      ReplayResult got = ReplayService(trace, options);
-      VerifyCell cell;
-      cell.shards = shards;
-      cell.threads = threads;
-      cell.identical = CheckLines(got.output) == want;
-      cell.errors = got.errors;
-      result.ok =
-          result.ok && cell.identical && cell.errors == reference.errors;
-      result.cells.push_back(cell);
-    }
+  auto add_cell = [&](const char* transport, int threads,
+                      const ReplayResult& got) {
+    VerifyCell cell;
+    cell.transport = transport;
+    cell.threads = threads;
+    cell.identical = got.output == reference.output;
+    cell.errors = got.errors;
+    result.ok = result.ok && cell.identical && cell.errors == reference.errors;
+    result.cells.push_back(cell);
+  };
+  for (int threads : threads_grid) {
+    ReplayOptions options;
+    options.threads = threads;
+    if (threads != 1) add_cell("direct", threads, ReplayDirect(trace, options));
+    add_cell("service", threads, ReplayService(trace, options));
   }
   return result;
 }

@@ -10,10 +10,9 @@
 namespace dislock {
 namespace gen {
 
-/// How to drive a trace. `threads` and `shards` mirror the session flags;
-/// `config` carries everything else (budgets, cache, store, obs hooks).
+/// How to drive a trace. `threads` mirrors the session flag; `config`
+/// carries everything else (budgets, cache, store, obs hooks).
 struct ReplayOptions {
-  int shards = 1;
   int threads = 1;
   EngineConfig config;
 };
@@ -37,35 +36,29 @@ ReplayResult ReplayDirect(const Trace& trace, const ReplayOptions& options);
 /// sockets: one client, global arrival order, sequencer thread.
 ReplayResult ReplayService(const Trace& trace, const ReplayOptions& options);
 
-/// The shard-invariant projection of a replay: only the `"cmd": "check"`
-/// response lines. Full outputs may differ across shard counts in the
-/// lane-allocated `add` ids (documented in docs/serve.md); check reports
-/// may not differ by a single byte.
-std::string CheckLines(const std::string& output);
-
-/// One cell of a verification grid.
+/// One cell of a verification grid: a transport ("direct" or "service")
+/// at a thread count.
 struct VerifyCell {
-  int shards = 0;
+  std::string transport;
   int threads = 0;
   bool identical = false;
   int errors = 0;
 };
 
-/// Result of VerifyReplay: `ok` iff every cell's check lines are
-/// byte-identical to the direct 1-shard/1-thread replay and no cell saw a
-/// failed command.
+/// Result of VerifyReplay: `ok` iff every cell's full output is
+/// byte-identical to the direct 1-thread replay and every cell failed
+/// exactly as many commands as that reference.
 struct VerifyResult {
   bool ok = true;
   std::vector<VerifyCell> cells;
 };
 
-/// The byte-identity gate: replays the trace directly at 1 shard/1
-/// thread, then through the in-process service at every (shards x
-/// threads) grid point, comparing check lines. The tests, `dislock
+/// The byte-identity gate: replays the trace directly at 1 thread, then
+/// through the in-process service at every grid thread count and directly
+/// at every other one, comparing every response byte. The tests, `dislock
 /// replay --verify`, and `dislock_bench --bench=trace` all run this one
 /// gate.
 VerifyResult VerifyReplay(const Trace& trace,
-                          const std::vector<int>& shards_grid = {1, 4},
                           const std::vector<int>& threads_grid = {1, 4});
 
 }  // namespace gen

@@ -109,12 +109,17 @@ bool WriteAll(int fd, const char* data, size_t size) {
 // One TCP connection: a reader thread splitting bytes into lines for
 // Submit, plus the fd shared with the sequencer (responses) — writes are
 // serialized by a per-connection mutex because the session layer's
-// assembler errors and the sequencer's responses both target it.
+// assembler errors and the sequencer's responses both target it. The accept
+// loop frees a connection once both of its users are done: the reader has
+// returned and the service has run on_close, after which it never calls
+// the connection's respond callback again.
 struct Connection {
   int fd = -1;
   int64_t client = -1;
   std::mutex write_mu;
   std::atomic<bool> peer_gone{false};
+  std::atomic<bool> reader_done{false};
+  std::atomic<bool> service_closed{false};
   std::thread reader;
 };
 
@@ -146,6 +151,22 @@ void ReaderLoop(Connection* conn, SafetyService* service) {
     service->Submit(conn->client, buffer);  // final unterminated line
   }
   service->CloseClient(conn->client);
+  conn->reader_done.store(true);
+}
+
+// Joins the reader and closes the fd of every connection both sides have
+// finished with, so a long-running server holds only live connections.
+void ReapFinished(std::vector<std::unique_ptr<Connection>>* connections) {
+  for (auto it = connections->begin(); it != connections->end();) {
+    Connection& conn = **it;
+    if (conn.reader_done.load() && conn.service_closed.load()) {
+      conn.reader.join();
+      ::close(conn.fd);
+      it = connections->erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 }  // namespace
@@ -164,6 +185,7 @@ int RunServer(SafetyService* service, const ServerOptions& options,
 
   std::vector<std::unique_ptr<Connection>> connections;
   while (!service->ShutdownRequested()) {
+    ReapFinished(&connections);
     pollfd pfd{listen_fd, POLLIN, 0};
     int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready < 0 && errno != EINTR) break;
@@ -185,10 +207,12 @@ int RunServer(SafetyService* service, const ServerOptions& options,
           }
         },
         [c] {
-          // Service is done with this client: half-close so a trace client
-          // blocked on recv sees EOF; the reader joins at server teardown.
+          // Service is done with this client: shut the socket down so a
+          // trace client blocked on recv sees EOF and the reader returns;
+          // the accept loop then reaps the connection.
           c->peer_gone.store(true);
           ::shutdown(c->fd, SHUT_RDWR);
+          c->service_closed.store(true);
         });
     c->reader = std::thread(ReaderLoop, c, service);
     connections.push_back(std::move(conn));

@@ -98,6 +98,7 @@ class SafetyService::Impl {
   }
 
   int64_t commands() const { return core_.commands(); }
+  int64_t checks() const { return core_.checks(); }
   int errors() const { return core_.errors(); }
   int64_t responses() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -125,7 +126,6 @@ class SafetyService::Impl {
     }
     sink->AddCounter(wire::kMetricServeCommands, core_.commands());
     sink->AddCounter(wire::kMetricServeErrors, core_.errors());
-    core_.ExportBackendStats(sink);
   }
 
  private:
@@ -292,6 +292,7 @@ void SafetyService::WaitForShutdownRequest() {
 }
 
 int64_t SafetyService::commands() const { return impl_->commands(); }
+int64_t SafetyService::checks() const { return impl_->checks(); }
 int64_t SafetyService::responses() const { return impl_->responses(); }
 int SafetyService::errors() const { return impl_->errors(); }
 int64_t SafetyService::clients_opened() const {

@@ -18,7 +18,7 @@ namespace serve {
 
 /// Configuration of one SafetyService. The wire protocol is the session
 /// JSON-lines protocol verbatim (session.json is forced on), so any session
-/// option — shards, engine config, load_root, max_line_bytes — applies.
+/// option — engine config, load_root, max_line_bytes — applies.
 struct ServiceOptions {
   SessionOptions session;
 };
@@ -36,9 +36,9 @@ struct ServiceOptions {
 ///     fed by its one reader thread);
 ///   * responses to one client never interleave or reorder;
 ///   * a trace submitted in a fixed global order yields byte-identical
-///     responses at any shard/thread count — the determinism the serve
-///     tests pin. Check() still fans out internally across shards, so
-///     sequencing commands does not serialize the actual analysis work.
+///     responses at any thread count — the determinism the serve tests
+///     pin. Check() still fans out internally over the engine's pool, so
+///     sequencing commands does not serialize the analysis work itself.
 ///
 /// Shutdown protocol: the `shutdown` verb (a serve-level extension; plain
 /// sessions reject it) answers ok, then flips ShutdownRequested() — the
@@ -88,13 +88,16 @@ class SafetyService {
 
   // Service-level counters (monotone, safe to read any time).
   int64_t commands() const;   ///< commands executed (SessionCore counter)
+  int64_t checks() const;     ///< `check` commands run (SessionCore counter)
   int64_t responses() const;  ///< response payloads delivered
   int errors() const;         ///< failed commands (SessionCore counter)
   int64_t clients_opened() const;
+  /// Most tasks ever waiting for the sequencer at once. A task is one raw
+  /// input line (every line of an add/replace block counts) or one client
+  /// close, so the peak can exceed the number of commands.
   int64_t queue_peak() const;
 
-  /// Pours serve.* counters, the session counters, and the per-shard
-  /// breakdown (sharded backend only) into `sink`.
+  /// Pours the serve.* counters and gauges into `sink`.
   void ExportStats(obs::StatsSink* sink);
 
  private:

@@ -34,14 +34,6 @@ TransactionCatalog::TransactionCatalog(const DistributedDatabase* db)
   DISLOCK_CHECK(db != nullptr);
 }
 
-TransactionCatalog::TransactionCatalog(const DistributedDatabase* db,
-                                       TxnId first_id, TxnId stride)
-    : db_(db), next_id_(first_id), id_stride_(stride) {
-  DISLOCK_CHECK(db != nullptr);
-  DISLOCK_CHECK(first_id >= 0);
-  DISLOCK_CHECK(stride >= 1);
-}
-
 Status TransactionCatalog::CheckInsertable(const Transaction& txn,
                                            const ValidateOptions& options,
                                            TxnId replacing) const {
@@ -61,8 +53,7 @@ Status TransactionCatalog::CheckInsertable(const Transaction& txn,
 Result<TxnId> TransactionCatalog::Add(Transaction txn,
                                       const ValidateOptions& options) {
   DISLOCK_RETURN_NOT_OK(CheckInsertable(txn, options, kInvalidTxnId));
-  TxnId id = next_id_;
-  next_id_ += id_stride_;
+  TxnId id = next_id_++;
   by_name_.emplace(txn.name(), id);
   entries_.push_back(
       {id, std::make_shared<const Transaction>(std::move(txn))});

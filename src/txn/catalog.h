@@ -84,15 +84,6 @@ class TransactionCatalog {
   /// Creates an empty catalog over `db`; `db` must outlive the catalog.
   explicit TransactionCatalog(const DistributedDatabase* db);
 
-  /// Creates an empty catalog whose ids run `first_id, first_id + stride,
-  /// first_id + 2*stride, ...` instead of the dense `0, 1, 2, ...`. A
-  /// ShardedCatalog (core/incremental/sharded_catalog.h) gives shard s of K
-  /// the lane (s, K), so ids are globally unique across shards — no TxnId
-  /// is ever reused or shared between two catalogs of one sharded group —
-  /// and `id % K` recovers the owning shard.
-  TransactionCatalog(const DistributedDatabase* db, TxnId first_id,
-                     TxnId stride);
-
   /// Adds a transaction; returns its freshly assigned id. Fails with
   /// InvalidModel on a duplicate name or a validation error, and with
   /// InvalidArgument if the transaction is over a different database
@@ -148,7 +139,6 @@ class TransactionCatalog {
   std::vector<Entry> entries_;  ///< live transactions, dense order
   std::map<std::string, TxnId> by_name_;
   TxnId next_id_ = 0;
-  TxnId id_stride_ = 1;
   int64_t generation_ = 0;
 };
 

@@ -108,17 +108,6 @@ FlagParse ParseCommonFlag(int argc, char** argv, int i, unsigned accepted,
     }
   }
 
-  if ((accepted & kShardsFlag) != 0) {
-    if (const char* v = FlagValue(argc, argv, i, "--shards", &two)) {
-      if (v == kMissing) {
-        if (error != nullptr) *error = "--shards requires a value";
-        return FlagParse::kError;
-      }
-      flags->shards = std::atoi(v);
-      return two ? FlagParse::kConsumedTwo : FlagParse::kConsumedOne;
-    }
-  }
-
   if ((accepted & kCacheDirFlag) != 0) {
     if (const char* v = FlagValue(argc, argv, i, "--cache-dir", &two)) {
       if (v == kMissing || v[0] == '\0') {
@@ -219,12 +208,6 @@ std::string CommonFlagsHelp(unsigned accepted) {
     out +=
         "  --clients N       simulated concurrent clients for the load\n"
         "                    driver / serve bench\n";
-  }
-  if ((accepted & kShardsFlag) != 0) {
-    out +=
-        "  --shards K        shard the catalog K ways by entity-footprint\n"
-        "                    hash; 0 = one shard per hardware thread; check\n"
-        "                    reports are byte-identical at any K\n";
   }
   if ((accepted & kCacheDirFlag) != 0) {
     out +=

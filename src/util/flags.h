@@ -21,7 +21,6 @@ struct CommonFlags {
   std::string metrics_path;  // empty or "-" = stderr
   int port = 4400;           // --port N; 0 = ephemeral (serve announces it)
   int clients = 100;         // --clients N; simulated clients (load driver)
-  int shards = 1;            // --shards K; 0 = one per hardware thread
   std::string cache_dir;     // --cache-dir=PATH; empty = no persistent store
   unsigned long long seed = 42;  // --seed N; workload-generator seed
   std::string out;           // --out=PATH; empty = stdout
@@ -36,13 +35,12 @@ enum CommonFlagSet : unsigned {
   kMetricsFlag = 1u << 4,  // --metrics[=FILE]
   kPortFlag = 1u << 5,     // --port N | --port=N       (dislock_serve)
   kClientsFlag = 1u << 6,  // --clients N | --clients=N (load driver, bench)
-  kShardsFlag = 1u << 7,   // --shards K | --shards=K   (sharded catalog)
   kCacheDirFlag = 1u << 8,  // --cache-dir PATH | --cache-dir=PATH
   kSeedFlag = 1u << 9,      // --seed N | --seed=N       (gen, replay, bench)
   kOutFlag = 1u << 10,      // --out PATH | --out=PATH   (gen, bench)
   kEndpointFlag = 1u << 11,  // --endpoint HOST:PORT     (replay)
   kObsFlags = kTraceFlag | kMetricsFlag,
-  kServeFlags = kPortFlag | kClientsFlag | kShardsFlag,
+  kServeFlags = kPortFlag | kClientsFlag,
 };
 
 enum class FlagParse {

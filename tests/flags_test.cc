@@ -3,7 +3,9 @@
 // paths, and the help text that all three tools embed.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -152,7 +154,6 @@ TEST(Flags, DefaultsMatchTheDocumentedContract) {
   EXPECT_FALSE(flags.metrics);
   EXPECT_EQ(flags.port, 4400);
   EXPECT_EQ(flags.clients, 100);
-  EXPECT_EQ(flags.shards, 1);
   EXPECT_EQ(flags.seed, 42u);  // the generator contract: default seed 42
   EXPECT_TRUE(flags.out.empty());
   EXPECT_TRUE(flags.endpoint.empty());
@@ -210,14 +211,10 @@ TEST(Flags, ServeFlagsBothSpellings) {
   ParseOutcome clients = Parse({"--clients=250"}, kServeFlags);
   EXPECT_EQ(clients.result, FlagParse::kConsumedOne);
   EXPECT_EQ(clients.flags.clients, 250);
-
-  ParseOutcome shards = Parse({"--shards", "4"}, kServeFlags);
-  EXPECT_EQ(shards.result, FlagParse::kConsumedTwo);
-  EXPECT_EQ(shards.flags.shards, 4);
 }
 
 TEST(Flags, ServeFlagsMissingValuesAreErrors) {
-  for (const char* flag : {"--port", "--clients", "--shards"}) {
+  for (const char* flag : {"--port", "--clients"}) {
     ParseOutcome out = Parse({flag}, kServeFlags);
     EXPECT_EQ(out.result, FlagParse::kError) << flag;
     EXPECT_EQ(out.error, std::string(flag) + " requires a value") << flag;
@@ -231,10 +228,8 @@ TEST(Flags, ServeFlagsRespectTheAcceptedSet) {
             FlagParse::kNotCommon);
   EXPECT_EQ(Parse({"--clients=8"}, kThreadsFlag).result,
             FlagParse::kNotCommon);
-  EXPECT_EQ(Parse({"--shards=2"}, kThreadsFlag).result,
-            FlagParse::kNotCommon);
   std::string help = CommonFlagsHelp(kServeFlags);
-  for (const char* flag : {"--port", "--clients", "--shards"}) {
+  for (const char* flag : {"--port", "--clients"}) {
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
   }
   EXPECT_EQ(CommonFlagsHelp(kThreadsFlag).find("--port"), std::string::npos);
@@ -290,6 +285,42 @@ TEST(Flags, GenReplayFlagsRespectTheAcceptedSet) {
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
   }
   EXPECT_EQ(CommonFlagsHelp(kThreadsFlag).find("--seed"), std::string::npos);
+}
+
+// Runs `command` with stdin closed off; returns its exit code and stores
+// its combined stdout/stderr in *output.
+int RunTool(const std::string& command, std::string* output) {
+  FILE* pipe = popen((command + " </dev/null 2>&1").c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), pipe)) > 0) {
+    output->append(chunk, n);
+  }
+  int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// No tool takes --shards: each rejects it with the uniform unknown-argument
+// message and exit code 2.
+TEST(Flags, ToolsRejectTheRemovedShardsFlag) {
+  struct Case {
+    std::string command;
+    std::string tool;
+  };
+  for (const Case& c : std::initializer_list<Case>{
+           {std::string(DISLOCK_CLI_BIN) + " session --shards 4", "dislock"},
+           {std::string(DISLOCK_CLI_BIN) + " replay --shards 4", "dislock"},
+           {std::string(DISLOCK_SERVE_BIN) + " --shards 4", "dislock_serve"},
+           {std::string(DISLOCK_BENCH_BIN) + " --shards 4",
+            "dislock_bench"}}) {
+    std::string output;
+    EXPECT_EQ(RunTool(c.command, &output), 2) << c.command << "\n" << output;
+    EXPECT_EQ(output.rfind(c.tool + ": unknown argument '--shards'\n", 0),
+              0u)
+        << c.command << "\n"
+        << output;
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/verdict_cache.h"
@@ -244,13 +245,15 @@ TEST(VerdictStore, GarbledLengthFieldStopsTheScan) {
 
 // A store whose log header is bad — wrong magic, wrong schema_version,
 // wrong generation, zero bytes, or plain garbage — warm-loads as empty and
-// is rebuilt, never reinterpreted.
+// is rebuilt, never reinterpreted. The case name is a std::string so the
+// printed parameter (part of the discovered ctest name) is its value, not a
+// pointer that address-space randomisation changes on every run.
 class VerdictStoreBadHeader
-    : public testing::TestWithParam<std::pair<const char*, int>> {};
+    : public testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(VerdictStoreBadHeader, LoadsEmptyAndRebuilds) {
   const auto [name, patch_offset] = GetParam();
-  const std::string dir = FreshDir(std::string("hdr_") + name);
+  const std::string dir = FreshDir("hdr_" + name);
   {
     cache::VerdictStore store;
     ASSERT_TRUE(store.Open(dir));
@@ -283,11 +286,11 @@ TEST_P(VerdictStoreBadHeader, LoadsEmptyAndRebuilds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corruption, VerdictStoreBadHeader,
-    testing::Values(std::pair<const char*, int>{"magic", 0},
-                    std::pair<const char*, int>{"schema", 4},
-                    std::pair<const char*, int>{"generation", 8},
-                    std::pair<const char*, int>{"zero_byte", -1}),
-    [](const testing::TestParamInfo<std::pair<const char*, int>>& info) {
+    testing::Values(std::pair<std::string, int>{"magic", 0},
+                    std::pair<std::string, int>{"schema", 4},
+                    std::pair<std::string, int>{"generation", 8},
+                    std::pair<std::string, int>{"zero_byte", -1}),
+    [](const testing::TestParamInfo<std::pair<std::string, int>>& info) {
       return info.param.first;
     });
 

@@ -165,16 +165,10 @@ TEST(WireFormat, EverySessionJsonLineIsVersionedAndValid) {
 // The serve wire surface is public protocol: every key and metric name is
 // pinned so a client written today parses every future build.
 TEST(WireKeys, ServeProtocolKeysArePinned) {
-  EXPECT_STREQ(wire::kShards, "shards");
-  EXPECT_STREQ(wire::kShard, "shard");
   EXPECT_STREQ(wire::kClientId, "client");
   EXPECT_STREQ(wire::kClients, "clients");
   EXPECT_STREQ(wire::kQueueDepth, "queue_depth");
   EXPECT_STREQ(wire::kQueuePeak, "queue_peak");
-  EXPECT_STREQ(wire::kCrossShardPairs, "cross_shard_pairs");
-  EXPECT_STREQ(wire::kLocalShardPairs, "local_shard_pairs");
-  EXPECT_STREQ(wire::kCrossShardRatio, "cross_shard_ratio");
-  EXPECT_STREQ(wire::kShardTransactions, "shard_transactions");
   EXPECT_STREQ(wire::kCommands, "commands");
   EXPECT_STREQ(wire::kResponses, "responses");
 }
@@ -262,19 +256,11 @@ TEST(WireKeys, ServeMetricNamesArePinned) {
   EXPECT_STREQ(wire::kMetricServeErrors, "serve.errors");
   EXPECT_STREQ(wire::kMetricServeQueuePeak, "serve.queue_peak");
   EXPECT_STREQ(wire::kMetricServeQueueDepth, "serve.queue_depth");
-  EXPECT_STREQ(wire::kMetricShardPrefix, "shard");
-  EXPECT_STREQ(wire::kMetricShardCount, "sharded.shards");
-  EXPECT_STREQ(wire::kMetricCrossShardPairs, "sharded.cross_pairs");
-  EXPECT_STREQ(wire::kMetricLocalShardPairs, "sharded.local_pairs");
-  EXPECT_STREQ(wire::kMetricCrossShardRatio, "sharded.cross_ratio");
-  EXPECT_STREQ(wire::kMetricShardTransactions, "transactions");
-  EXPECT_STREQ(wire::kMetricShardPairStore, "pair_store");
-  EXPECT_STREQ(wire::kMetricShardCycleStore, "cycle_store");
 }
 
-// A sharded session's stats line uses the pinned keys (and stays one valid
-// versioned JSON object per line like every other session response).
-TEST(WireFormat, ShardedSessionStatsUsesPinnedKeys) {
+// The stats line is one valid versioned JSON object with exactly the
+// documented fields, in order, like every other session response.
+TEST(WireFormat, SessionStatsIsOneVersionedJsonLine) {
   std::istringstream in(
       "load data/ring3.dlk\n"
       "check\n"
@@ -282,21 +268,25 @@ TEST(WireFormat, ShardedSessionStatsUsesPinnedKeys) {
   std::ostringstream out;
   SessionOptions options;
   options.json = true;
-  options.shards = 2;
   options.load_root = DISLOCK_SOURCE_DIR;
   EXPECT_EQ(RunSession(in, out, options), 0);
-  std::string text = out.str();
-  for (const char* key :
-       {"\"shards\": 2", "\"shard_transactions\": [", "\"cross_shard_pairs\":",
-        "\"local_shard_pairs\":", "\"cross_shard_ratio\":"}) {
-    EXPECT_NE(text.find(key), std::string::npos) << key << "\n" << text;
-  }
-  std::istringstream lines(text);
+  std::istringstream lines(out.str());
   std::string line;
+  std::string stats;
   while (std::getline(lines, line)) {
     EXPECT_EQ(line.rfind(kVersionPrefix, 0), 0u) << line;
-    ExpectValidJson(line, "sharded session line");
+    ExpectValidJson(line, "session line");
+    if (line.find("\"cmd\": \"stats\"") != std::string::npos) stats = line;
   }
+  size_t at = 0;
+  for (const char* key :
+       {"\"generation\": ", "\"transactions\": ", "\"checks\": ",
+        "\"pair_store\": ", "\"cycle_store\": ", "\"totals\": {"}) {
+    size_t found = stats.find(key, at);
+    EXPECT_NE(found, std::string::npos) << key << "\n" << stats;
+    if (found != std::string::npos) at = found;
+  }
+  EXPECT_EQ(stats.find("shard"), std::string::npos) << stats;
 }
 
 // ---- Observability emitters -----------------------------------------------

@@ -14,9 +14,9 @@
 // same ring/dense definitions `dislock gen` emits as .dlt traces, so a
 // bench row and a committed trace always describe the same system.
 // --bench=trace generates every registered family at its defaults, times
-// the direct replay, and runs the byte-identity gate (check reports from
-// the serve sequencer at {1,4} shards x {1,4} threads vs the direct
-// replay), writing BENCH_trace.json.
+// the direct replay, and runs the byte-identity gate (every response at
+// {1,4} threads, direct and through the serve sequencer, vs the 1-thread
+// direct replay), writing BENCH_trace.json.
 //
 // --threads defaults to 0 (one worker per hardware thread). Speedups are a
 // property of the machine: on a single-core container parallel ≈ serial by
@@ -462,16 +462,16 @@ KernelBenchResult RunKernelBench(bool quick, int reps) {
 }
 
 // ---------------------------------------------------------------------------
-// --bench=serve: SafetyService throughput + sharded determinism
-// (BENCH_serve.json). Drives the in-process service — the exact object
-// dislock_serve wraps in a TCP accept loop — with simulated clients, so the
-// numbers measure the sequencer + sharded engine, not socket syscalls.
+// --bench=serve: SafetyService throughput + determinism (BENCH_serve.json).
+// Drives the in-process service — the exact object dislock_serve wraps in
+// a TCP accept loop — with simulated clients, so the numbers measure the
+// sequencer + engine, not socket syscalls.
 // ---------------------------------------------------------------------------
 
 /// One client's scripted session: a rolling add/remove window over a shared
 /// entity ring, with a `check` every kServeCheckEvery commands. The windows
 /// of different clients overlap on entities, so the catalog always carries
-/// cross-client (and, sharded, cross-shard) conflict pairs.
+/// cross-client conflict pairs.
 constexpr int kServeEntities = 64;
 constexpr int kServeWindow = 2;       // live txns per client between removes
 constexpr int kServeCheckEvery = 32;  // commands between `check`s per client
@@ -511,23 +511,23 @@ std::vector<std::vector<std::string>> MakeServeScripts(int clients,
 
 struct ServeRun {
   int64_t commands = 0;
+  int64_t lines = 0;  // raw lines submitted; serve.queue_peak counts these
   int64_t responses = 0;
   int errors = 0;
   int64_t queue_peak = 0;
   double elapsed_ms = 0;
-  std::string check_bytes;  // `check` response lines only (shard-invariant)
+  std::string bytes;  // every client's responses, in client order
 };
 
 /// Runs the scripts against a fresh service. `concurrent` submits each
 /// client from its own thread (the throughput measurement); otherwise lines
 /// are fed round-robin from one thread — a fixed global arrival order, so
-/// the responses are deterministic and comparable across shard counts.
+/// the responses are deterministic and comparable across thread counts.
 ServeRun RunServeOnce(const std::vector<std::vector<std::string>>& scripts,
-                      const std::string& workload_path, int shards,
-                      int threads, bool concurrent) {
+                      const std::string& workload_path, int threads,
+                      bool concurrent) {
   serve::ServiceOptions options;
   options.session.json = true;
-  options.session.shards = shards;
   options.session.config.num_threads = threads;
   serve::SafetyService service(options);
 
@@ -583,16 +583,10 @@ ServeRun RunServeOnce(const std::vector<std::vector<std::string>>& scripts,
   run.responses = service.responses();
   run.errors = service.errors();
   run.queue_peak = service.queue_peak();
-  for (const std::string& bytes : outputs) {
-    std::istringstream lines(bytes);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.find("\"cmd\": \"check\"") != std::string::npos) {
-        run.check_bytes += line;
-        run.check_bytes += '\n';
-      }
-    }
+  for (const std::vector<std::string>& script : scripts) {
+    run.lines += static_cast<int64_t>(script.size());
   }
+  for (const std::string& bytes : outputs) run.bytes += bytes;
   service.Shutdown();
   return run;
 }
@@ -719,8 +713,8 @@ int BenchUsage() {
                "                    concurrent SafetyService), cache (the\n"
                "                    persistent verdict store, cold vs warm),\n"
                "                    trace (replay every registered workload\n"
-               "                    family and gate check-report identity\n"
-               "                    across the shard/thread grid), or all\n"
+               "                    family and gate response identity\n"
+               "                    across threads and transports), or all\n"
                "                    (default)\n"
                "  --kernel-slowdown-limit X\n"
                "                    fail (exit 1) if any kernel row's flat\n"
@@ -733,7 +727,6 @@ int BenchUsage() {
                                         dislock::kCacheFlag |
                                         dislock::kObsFlags |
                                         dislock::kClientsFlag |
-                                        dislock::kShardsFlag |
                                         dislock::kCacheDirFlag |
                                         dislock::kOutFlag)
                    .c_str());
@@ -751,8 +744,7 @@ int main(int argc, char** argv) {
   CommonFlags flags;
   flags.num_threads = 0;  // bench default: one worker per hardware thread
   constexpr unsigned kAccepted = kThreadsFlag | kCacheFlag | kObsFlags |
-                                 kClientsFlag | kShardsFlag | kCacheDirFlag |
-                                 kOutFlag;
+                                 kClientsFlag | kCacheDirFlag | kOutFlag;
   for (int i = 1; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &flags, &error)) {
@@ -1045,10 +1037,6 @@ int main(int argc, char** argv) {
   bool serve_ok = true;
   if (bench_mode == "all" || bench_mode == "serve") {
     const int clients = flags.clients > 0 ? flags.clients : 100;
-    const int shards =
-        flags.shards > 1
-            ? flags.shards
-            : std::max(2, std::min(4, ThreadPool::HardwareThreads()));
     const int commands_per_client = quick ? 32 : 96;
 
     // The shared system the clients edit: the entity ring the scripts lock
@@ -1077,60 +1065,45 @@ int main(int argc, char** argv) {
     }
 
     // Determinism: the same scripts in a fixed global arrival order must
-    // produce byte-identical `check` reports at 1 shard and K shards, at
-    // 1 and 4 engine threads. (Full responses differ only in `add` ids —
-    // shard-lane allocation — which the protocol documents.)
+    // produce byte-identical responses, and no errors, at 1 and 4 engine
+    // threads.
     auto scripts = MakeServeScripts(std::min(clients, 8),
                                     commands_per_client);
-    ServeRun base = RunServeOnce(scripts, workload_path, 1, 1, false);
-    bool identical = base.errors == 0;
-    for (int s : {1, shards}) {
-      for (int t : {1, 4}) {
-        if (s == 1 && t == 1) continue;
-        ServeRun run = RunServeOnce(scripts, workload_path, s, t, false);
-        if (run.check_bytes != base.check_bytes || run.errors != 0) {
-          identical = false;
-          std::fprintf(stderr,
-                       "serve determinism FAILED at shards=%d threads=%d "
-                       "(errors=%d)\n",
-                       s, t, run.errors);
-        }
-      }
+    ServeRun base = RunServeOnce(scripts, workload_path, 1, false);
+    ServeRun four = RunServeOnce(scripts, workload_path, 4, false);
+    const bool identical = base.bytes == four.bytes;
+    if (!identical || base.errors != 0 || four.errors != 0) {
+      std::fprintf(stderr,
+                   "serve determinism FAILED (identical=%d, errors at 1/4 "
+                   "threads=%d/%d)\n",
+                   identical ? 1 : 0, base.errors, four.errors);
     }
 
     // Throughput: every client submits from its own thread.
     auto load = MakeServeScripts(clients, commands_per_client);
-    ServeRun one = RunServeOnce(load, workload_path, 1, 1, true);
-    ServeRun sharded =
-        RunServeOnce(load, workload_path, shards, effective_threads, true);
-    auto rate = [](const ServeRun& r) {
-      return r.elapsed_ms > 0 ? 1000.0 * static_cast<double>(r.commands) /
-                                    r.elapsed_ms
-                              : 0.0;
-    };
-    serve_ok = identical && one.errors == 0 && sharded.errors == 0;
+    ServeRun run = RunServeOnce(load, workload_path, effective_threads, true);
+    const double rate =
+        run.elapsed_ms > 0
+            ? 1000.0 * static_cast<double>(run.commands) / run.elapsed_ms
+            : 0.0;
+    serve_ok = identical && base.errors == 0 && four.errors == 0 &&
+               run.errors == 0;
 
     std::ostringstream sj;
     sj << "{\"" << wire::kSchemaVersionKey << "\": " << wire::kSchemaVersion
        << ", \"bench\": \"serve_throughput\", \"clients\": " << clients
-       << ", \"shards\": " << shards
        << ", \"threads\": " << effective_threads
        << ", \"hardware_threads\": " << ThreadPool::HardwareThreads()
        << ci_note_json()
        << ", \"commands_per_client\": " << commands_per_client
-       << ", \"quick\": " << (quick ? "true" : "false") << ", \"runs\": ["
-       << "{\"name\": \"1shard\", \"shards\": 1, \"commands\": "
-       << one.commands << ", \"elapsed_ms\": " << one.elapsed_ms
-       << ", \"commands_per_sec\": " << rate(one)
-       << ", \"queue_peak\": " << one.queue_peak
-       << ", \"errors\": " << one.errors << "}, "
-       << "{\"name\": \"sharded\", \"shards\": " << shards
-       << ", \"commands\": " << sharded.commands
-       << ", \"elapsed_ms\": " << sharded.elapsed_ms
-       << ", \"commands_per_sec\": " << rate(sharded)
-       << ", \"queue_peak\": " << sharded.queue_peak
-       << ", \"errors\": " << sharded.errors << "}]"
-       << ", \"checks_identical\": " << (identical ? "true" : "false")
+       << ", \"quick\": " << (quick ? "true" : "false")
+       << ", \"commands\": " << run.commands
+       << ", \"elapsed_ms\": " << run.elapsed_ms
+       << ", \"commands_per_sec\": " << rate
+       << ", \"lines_submitted\": " << run.lines
+       << ", \"queue_peak\": " << run.queue_peak
+       << ", \"errors\": " << run.errors
+       << ", \"responses_identical\": " << (identical ? "true" : "false")
        << ", \"ok\": " << (serve_ok ? "true" : "false") << "}";
 
     std::string serve_path = "BENCH_serve.json";
@@ -1145,11 +1118,11 @@ int main(int argc, char** argv) {
     serve_out << sj.str() << "\n";
     serve_out.close();
     std::printf(
-        "serve      clients=%d 1shard=%.0f cmd/s sharded(%d)=%.0f cmd/s "
+        "serve      clients=%d threads=%d %.0f cmd/s lines=%lld "
         "queue-peak=%lld %s\n",
-        clients, rate(one), shards, rate(sharded),
-        static_cast<long long>(sharded.queue_peak),
-        identical ? "checks-identical" : "CHECKS DIFFER");
+        clients, effective_threads, rate, static_cast<long long>(run.lines),
+        static_cast<long long>(run.queue_peak),
+        identical ? "responses-identical" : "RESPONSES DIFFER");
     std::printf("wrote %s (%s)\n", serve_path.c_str(),
                 serve_ok ? "ok" : "FAILED");
   }
@@ -1247,10 +1220,10 @@ int main(int argc, char** argv) {
     // --bench=trace: the replay byte-identity gate, run as a bench family
     // so CI publishes it (BENCH_trace.json). Every registered workload
     // family is generated at its defaults, timed through the direct
-    // SessionCore replay, then verified: check reports from the serve
-    // sequencer at {1,4} shards x {1,4} threads must be byte-identical to
-    // the direct replay. A DIVERGED cell is a determinism bug, not a
-    // performance regression.
+    // SessionCore replay, then verified: every response at {1,4} threads,
+    // direct and through the serve sequencer, must be byte-identical to
+    // the 1-thread direct replay. A DIVERGED cell is a determinism bug,
+    // not a performance regression.
     std::ostringstream tj;
     tj << "{\"" << wire::kSchemaVersionKey << "\": " << wire::kSchemaVersion
        << ", \"bench\": \"trace_replay\", \"trace_version\": "
@@ -1279,8 +1252,8 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < verify.cells.size(); ++i) {
         const gen::VerifyCell& cell = verify.cells[i];
         if (i > 0) tj << ", ";
-        tj << "{\"shards\": " << cell.shards
-           << ", \"threads\": " << cell.threads << ", \"identical\": "
+        tj << "{\"transport\": \"" << cell.transport
+           << "\", \"threads\": " << cell.threads << ", \"identical\": "
            << (cell.identical ? "true" : "false")
            << ", \"errors\": " << cell.errors << "}";
       }
@@ -1314,11 +1287,11 @@ int main(int argc, char** argv) {
 
   // Determinism is the contract; a differing report is a bug regardless of
   // the measured speedup. The kernel family additionally gates on the
-  // flat-vs-legacy slowdown limit; the serve family gates on sharded
-  // check-report identity and an error-free run; the cache family gates on
+  // flat-vs-legacy slowdown limit; the serve family gates on response
+  // identity across threads and an error-free run; the cache family gates on
   // warmth-invariant reports, verdicts actually served from disk, and the
   // warm pair-wall speedup (when the cold wall cleared the noise floor);
-  // the trace family gates on grid-wide check-report byte identity.
+  // the trace family gates on grid-wide response byte identity.
   return all_identical && inc_ok && kernel_ok && serve_ok && cache_ok &&
                  trace_ok
              ? 0

@@ -21,11 +21,11 @@
 //                                   emit a deterministic .dlt workload trace
 //                                   for a registered family (src/gen/);
 //                                   `gen --list` prints the catalog
-//   dislock replay <trace.dlt> [--shards K] [--threads N] [--verify]
+//   dislock replay <trace.dlt> [--threads N] [--verify]
 //                                   drive a .dlt trace through the
 //                                   incremental engine; --verify gates
-//                                   byte-identical check reports across the
-//                                   shard/thread grid; --endpoint HOST:PORT
+//                                   byte-identical responses across threads
+//                                   and transports; --endpoint HOST:PORT
 //                                   replays against a live dislock_serve
 //   dislock example                 print a sample system file
 //
@@ -536,7 +536,7 @@ int RunSessionCommand(int argc, char** argv) {
   CommonFlags common;
   const char* script = nullptr;
   constexpr unsigned kAccepted =
-      kThreadsFlag | kCacheFlag | kObsFlags | kShardsFlag | kCacheDirFlag;
+      kThreadsFlag | kCacheFlag | kObsFlags | kCacheDirFlag;
   for (int i = 2; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &common, &error)) {
@@ -571,7 +571,6 @@ int RunSessionCommand(int argc, char** argv) {
   options.config.store = store.is_open() ? &store : nullptr;
   options.config.trace = bundle.trace();
   options.config.stats = bundle.metrics();
-  options.shards = common.shards;
   options.analyze = MakeSessionAnalyzer();
   int failed;
   if (script != nullptr) {
@@ -688,18 +687,18 @@ bool ParseEndpoint(const std::string& endpoint, std::string* host,
 
 // `dislock replay`: drive a committed .dlt trace through the incremental
 // engine. Default: one in-process SessionCore replay, responses to stdout
-// (or --out). --verify: the byte-identity gate — check reports from the
-// serve-style sequencer at {1,4} shards x {1,4} threads must match the
-// direct replay byte for byte. --endpoint HOST:PORT: feed the records to a
+// (or --out). --verify: the byte-identity gate — every response from the
+// serve-style sequencer at {1,4} threads and from the direct replay at 4
+// threads must match the 1-thread direct replay byte for byte.
+// --endpoint HOST:PORT: feed the records to a
 // live dislock_serve over TCP instead. Exits 0 on a clean replay, 1 on
 // input errors / failed commands / a verify divergence, 2 on usage errors.
 int RunReplayCommand(int argc, char** argv) {
   CommonFlags common;
   const char* path = nullptr;
   bool verify = false;
-  constexpr unsigned kAccepted = kThreadsFlag | kShardsFlag | kCacheFlag |
-                                 kCacheDirFlag | kObsFlags | kEndpointFlag |
-                                 kOutFlag;
+  constexpr unsigned kAccepted = kThreadsFlag | kCacheFlag | kCacheDirFlag |
+                                 kObsFlags | kEndpointFlag | kOutFlag;
   for (int i = 2; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &common, &error)) {
@@ -738,9 +737,9 @@ int RunReplayCommand(int argc, char** argv) {
   if (verify) {
     gen::VerifyResult result = gen::VerifyReplay(*trace);
     for (const gen::VerifyCell& cell : result.cells) {
-      std::fprintf(stderr, "shards=%d threads=%d: %s (%d failed commands)\n",
-                   cell.shards, cell.threads,
-                   cell.identical ? "check reports identical" : "DIVERGED",
+      std::fprintf(stderr, "%s threads=%d: %s (%d failed commands)\n",
+                   cell.transport.c_str(), cell.threads,
+                   cell.identical ? "responses identical" : "DIVERGED",
                    cell.errors);
     }
     std::fprintf(stderr, "verify: %s (%s, seed %llu, %lld records)\n",
@@ -771,7 +770,6 @@ int RunReplayCommand(int argc, char** argv) {
   cache::VerdictStore store;
   OpenStoreIfRequested(common, &store);
   gen::ReplayOptions options;
-  options.shards = common.shards;
   options.threads = common.num_threads;
   options.config.enable_cache = common.cache;
   options.config.store = store.is_open() ? &store : nullptr;
@@ -792,11 +790,11 @@ int Usage() {
   std::string analyze_help = CommonFlagsHelp(
       kThreadsFlag | kCacheFlag | kFormatFlag | kObsFlags | kCacheDirFlag);
   std::string session_help = CommonFlagsHelp(
-      kThreadsFlag | kCacheFlag | kObsFlags | kShardsFlag | kCacheDirFlag);
+      kThreadsFlag | kCacheFlag | kObsFlags | kCacheDirFlag);
   std::string gen_help = CommonFlagsHelp(kSeedFlag | kOutFlag);
   std::string replay_help =
-      CommonFlagsHelp(kThreadsFlag | kShardsFlag | kCacheFlag |
-                      kCacheDirFlag | kObsFlags | kEndpointFlag | kOutFlag);
+      CommonFlagsHelp(kThreadsFlag | kCacheFlag | kCacheDirFlag | kObsFlags |
+                      kEndpointFlag | kOutFlag);
   std::fprintf(stderr,
                "usage: dislock analyze <system.dlk>\n"
                "                       [--passes a,b,c] [--no-deadlock]\n"
@@ -825,8 +823,8 @@ int Usage() {
                "       dislock replay <trace.dlt> [--verify]\n"
                "         (drive a .dlt trace through the incremental\n"
                "          engine and print the session responses; --verify\n"
-               "          replays the {1,4} shards x {1,4} threads grid and\n"
-               "          gates byte-identical check reports)\n"
+               "          replays at {1,4} threads, direct and through the\n"
+               "          service, and gates byte-identical responses)\n"
                "%s"
                "       dislock example\n",
                analyze_help.c_str(), session_help.c_str(), gen_help.c_str(),

@@ -1,6 +1,6 @@
-// dislock_serve — the session protocol as a long-lived, sharded service.
+// dislock_serve — the session protocol as a long-lived service.
 //
-//   dislock_serve [--port N] [--shards K] [--threads N] [--cache]
+//   dislock_serve [--port N] [--threads N] [--cache]
 //                 [--cache-dir=PATH] [--load-root DIR] [--trace=FILE]
 //                 [--metrics[=FILE]]
 //     Listen on 127.0.0.1:N (default 4400; 0 = ephemeral, announced on
@@ -16,7 +16,7 @@
 //
 // The wire protocol is exactly `dislock session --json`: one JSON object
 // per response line, same keys, same bytes — a served trace is diffable
-// against the REPL goldens, at any --shards value.
+// against the REPL goldens, at any --threads value.
 
 #include <cstdio>
 #include <cstring>
@@ -31,7 +31,6 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 
 namespace dislock {
 namespace {
@@ -45,9 +44,9 @@ void FlushObservability(const obs::Observability& bundle) {
 
 int Usage() {
   std::string help = CommonFlagsHelp(kThreadsFlag | kCacheFlag | kObsFlags |
-                                     kPortFlag | kShardsFlag | kCacheDirFlag);
+                                     kPortFlag | kCacheDirFlag);
   std::fprintf(stderr,
-               "usage: dislock_serve [--port N] [--shards K] [--threads N]\n"
+               "usage: dislock_serve [--port N] [--threads N]\n"
                "                     [--cache] [--cache-dir=PATH]\n"
                "                     [--load-root DIR]\n"
                "                     [--trace=FILE] [--metrics[=FILE]]\n"
@@ -78,7 +77,7 @@ int Main(int argc, char** argv) {
   const char* client_spec = nullptr;
   const char* script = nullptr;
   constexpr unsigned kAccepted = kThreadsFlag | kCacheFlag | kObsFlags |
-                                 kPortFlag | kShardsFlag | kCacheDirFlag;
+                                 kPortFlag | kCacheDirFlag;
   for (int i = 1; i < argc; ++i) {
     std::string error;
     switch (ParseCommonFlag(argc, argv, i, kAccepted, &common, &error)) {
@@ -133,17 +132,12 @@ int Main(int argc, char** argv) {
     ReportBadFlag("dislock_serve", "--port requires 0..65535");
     return 2;
   }
-  if (common.shards < 0) {
-    ReportBadFlag("dislock_serve", "--shards requires K >= 0");
-    return 2;
-  }
 
   obs::Observability bundle(common.trace_path, common.metrics,
                             common.metrics_path);
-  // One persistent store for the whole fleet: the coordinator opens it and
-  // every per-shard engine borrows the same pointer through the copied
-  // config, so shards share warm verdicts and their new verdicts land in
-  // one pending buffer, flushed once at shutdown.
+  // One persistent store for the server's lifetime: the engine borrows it
+  // through the config, and its new verdicts land in one pending buffer,
+  // flushed once at shutdown.
   cache::VerdictStore store;
   const std::string cache_dir = EffectiveCacheDir(common);
   if (!cache_dir.empty()) {
@@ -158,9 +152,6 @@ int Main(int argc, char** argv) {
   serve::ServiceOptions options;
   options.session.json = true;
   options.session.load_root = load_root;
-  // --shards 0: one shard per hardware thread, mirroring --threads 0.
-  options.session.shards =
-      common.shards == 0 ? ThreadPool::HardwareThreads() : common.shards;
   options.session.config.num_threads = common.num_threads;
   options.session.config.enable_cache = common.cache;
   options.session.config.store = store.is_open() ? &store : nullptr;
