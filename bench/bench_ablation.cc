@@ -62,8 +62,11 @@ void BM_Phase_FullCertificate(benchmark::State& state) {
   ReductionOutput red = MakeSubject(static_cast<int>(state.range(0)), 7);
   std::vector<EntityId> dom = SatisfyingDominator(red);
   for (auto _ : state) {
+    auto closed = CloseWithRespectTo(red.system->txn(0), red.system->txn(1),
+                                     dom);
+    DISLOCK_CHECK(closed.ok());
     auto cert = BuildUnsafetyCertificate(red.system->txn(0),
-                                         red.system->txn(1), dom);
+                                         red.system->txn(1), dom, *closed);
     benchmark::DoNotOptimize(cert);
   }
 }

@@ -13,74 +13,15 @@ namespace dislock {
 namespace {
 
 /// Appends one transaction's structure to `out` under the shared canonical
-/// renaming maps (entity -> dense index, site -> dense index).
-void AppendCanonical(const Transaction& t,
-                     std::unordered_map<EntityId, int>* entity_index,
-                     std::unordered_map<SiteId, int>* site_index,
-                     std::string* out) {
-  auto canonical_entity = [&](EntityId e) {
-    auto [it, inserted] =
-        entity_index->emplace(e, static_cast<int>(entity_index->size()));
-    if (inserted) {
-      // First appearance also pins the entity's site into the pattern.
-      site_index->emplace(t.db().SiteOf(e),
-                          static_cast<int>(site_index->size()));
-    }
-    return it->second;
-  };
-  out->push_back('t');
-  for (StepId s = 0; s < t.NumSteps(); ++s) {
-    const Step& step = t.GetStep(s);
-    char kind = step.kind == StepKind::kLock     ? 'L'
-                : step.kind == StepKind::kUnlock ? 'U'
-                                                 : 'u';
-    out->push_back(kind);
-    if (step.shared) out->push_back('s');
-    *out += std::to_string(canonical_entity(step.entity));
-    out->push_back('@');
-    *out += std::to_string(site_index->at(t.db().SiteOf(step.entity)));
-    out->push_back(';');
-  }
-  // The precedence arc set, sorted so the fingerprint does not depend on
-  // construction order. (Arc-set equality is finer than equality of the
-  // induced partial orders, so this can only cause extra misses, never a
-  // wrong hit.)
-  std::vector<std::pair<NodeId, NodeId>> arcs;
-  const Digraph& order = t.order();
-  for (NodeId u = 0; u < order.NumNodes(); ++u) {
-    for (NodeId v : order.OutNeighbors(u)) arcs.emplace_back(u, v);
-  }
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-  out->push_back('|');
-  for (const auto& [u, v] : arcs) {
-    *out += std::to_string(u);
-    out->push_back('>');
-    *out += std::to_string(v);
-    out->push_back(';');
-  }
-}
-
-}  // namespace
-
-std::string PairFingerprint(const Transaction& t1, const Transaction& t2) {
-  std::string out;
-  out.reserve(static_cast<size_t>(t1.NumSteps() + t2.NumSteps()) * 6 + 16);
-  std::unordered_map<EntityId, int> entity_index;
-  std::unordered_map<SiteId, int> site_index;
-  AppendCanonical(t1, &entity_index, &site_index, &out);
-  AppendCanonical(t2, &entity_index, &site_index, &out);
-  return out;
-}
-
-namespace {
-
-/// Flat AppendCanonical: dense arrays (-1 = unassigned) replace the hash
-/// maps, arcs are sorted as packed (u << 32 | v) keys. Emits the exact
-/// byte sequence of AppendCanonical.
-void AppendCanonicalFlat(const Transaction& t, int* entity_canon,
-                         int* site_canon, int* next_entity, int* next_site,
-                         Arena* arena, std::string* out) {
+/// renaming (dense arrays, -1 = unassigned): each step in id order as its
+/// kind, shared flag, canonical entity '@' canonical site, then the
+/// deduplicated precedence arc set, sorted as packed (u << 32 | v) keys.
+/// Sorting makes the fingerprint independent of construction order; arc-set
+/// equality is finer than equality of the induced partial orders, so this
+/// can only cause extra misses, never a wrong hit.
+void AppendStructure(const Transaction& t, int* entity_canon,
+                     int* site_canon, int* next_entity, int* next_site,
+                     Arena* arena, std::string* out) {
   const DistributedDatabase& db = t.db();
   out->push_back('t');
   for (StepId s = 0; s < t.NumSteps(); ++s) {
@@ -93,7 +34,7 @@ void AppendCanonicalFlat(const Transaction& t, int* entity_canon,
     if (ce < 0) {
       ce = (*next_entity)++;
       // First appearance of the entity also pins its site (no-op when the
-      // site was pinned by an earlier entity), as in the legacy renaming.
+      // site was pinned by an earlier entity).
       if (site_canon[site] < 0) site_canon[site] = (*next_site)++;
     }
     out->push_back(kind);
@@ -128,7 +69,7 @@ void AppendCanonicalFlat(const Transaction& t, int* entity_canon,
 
 }  // namespace
 
-std::string PairFingerprintFlat(const Transaction& t1, const Transaction& t2) {
+std::string PairFingerprint(const Transaction& t1, const Transaction& t2) {
   std::string out;
   out.reserve(static_cast<size_t>(t1.NumSteps() + t2.NumSteps()) * 8 + 16);
   Arena* arena = ScratchArena();
@@ -143,9 +84,9 @@ std::string PairFingerprintFlat(const Transaction& t1, const Transaction& t2) {
   std::memset(site_canon, -1, static_cast<size_t>(num_sites) * sizeof(int));
   int next_entity = 0;
   int next_site = 0;
-  AppendCanonicalFlat(t1, entity_canon, site_canon, &next_entity, &next_site,
+  AppendStructure(t1, entity_canon, site_canon, &next_entity, &next_site,
                       arena, &out);
-  AppendCanonicalFlat(t2, entity_canon, site_canon, &next_entity, &next_site,
+  AppendStructure(t2, entity_canon, site_canon, &next_entity, &next_site,
                       arena, &out);
   return out;
 }

@@ -31,16 +31,11 @@ class VerdictStore;
 /// many fingerprint-equal pairs over differently named entities. The same
 /// invariance is what makes a fingerprint valid across processes and runs:
 /// the persistent cache::VerdictStore keys its records by these bytes.
+///
+/// The renaming runs on dense arena-backed index arrays over
+/// [0, NumEntities()) / [0, NumSites()), and the string is assembled in one
+/// pass into a single preallocated buffer.
 std::string PairFingerprint(const Transaction& t1, const Transaction& t2);
-
-/// Flat-kernel fingerprint (EngineConfig::use_flat_kernel): byte-identical
-/// output to PairFingerprint — grouping and the pairs_cached counter depend
-/// on exact string equality — but the canonical renaming runs on dense
-/// arena-backed index arrays over [0, NumEntities()) / [0, NumSites())
-/// instead of unordered_maps, the arc set is sorted as packed 64-bit keys,
-/// and the string is assembled in one pass into a single preallocated
-/// buffer.
-std::string PairFingerprintFlat(const Transaction& t1, const Transaction& t2);
 
 /// What the cache remembers about a decided pair. The full PairSafetyReport
 /// is NOT cached: its conflict graph and certificate reference the concrete

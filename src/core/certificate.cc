@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "core/closure.h"
 #include "core/conflict_graph.h"
 #include "graph/dominator.h"
 #include "graph/scc.h"
@@ -49,10 +48,8 @@ Result<Schedule> SeparateByPartition(const PairPicture& pic,
 
 Result<UnsafetyCertificate> BuildUnsafetyCertificate(
     const Transaction& t1, const Transaction& t2,
-    const std::vector<EntityId>& dominator) {
-  // Step 1: close {T1, T2} with respect to X (Lemmas 2-3).
-  DISLOCK_ASSIGN_OR_RETURN(ClosureResult closed,
-                           CloseWithRespectTo(t1, t2, dominator));
+    const std::vector<EntityId>& dominator, const ClosureResult& closed) {
+  // Step 1, closing {T1, T2} with respect to X, is the caller's `closed`.
   const std::set<EntityId> x_set(dominator.begin(), dominator.end());
 
   // Step 2a: total order of the closed T1, emitting Ux (x in X) as early as

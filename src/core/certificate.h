@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/closure.h"
 #include "geometry/curve.h"
 #include "txn/schedule.h"
 #include "txn/transaction.h"
@@ -31,8 +32,11 @@ struct UnsafetyCertificate {
 };
 
 /// Builds an unsafety certificate for {T1, T2} given a dominator X of
-/// D(T1, T2), following the proof of Theorem 2:
-///  1. close the system with respect to X (Lemmas 2-3);
+/// D(T1, T2) and `closed`, the system closed with respect to X
+/// (CloseWithRespectTo(t1, t2, dominator), Lemmas 2-3), following the proof
+/// of Theorem 2:
+///  1. the caller closes the system with respect to X — the decision stages
+///     need the closure's outcome anyway, so it is computed once;
 ///  2. topologically sort the closed T1 placing Ux (x in X) as early as
 ///     possible, and the closed T2 placing Lx (x in X) as late as possible,
 ///     breaking ties among Lx steps by the Ux order of t1;
@@ -40,12 +44,12 @@ struct UnsafetyCertificate {
 ///     the (t1, t2) picture and read it off as a schedule.
 ///
 /// Guaranteed to succeed for transactions spanning at most two sites
-/// (Theorem 2). With more sites it may return Undecided (closure failure or
-/// no separating curve), mirroring the paper's Fig. 5 phenomenon. The
+/// (Theorem 2). With more sites it may return Undecided (no separating
+/// curve), mirroring the paper's Fig. 5 phenomenon. The
 /// returned certificate has been verified (legal + non-serializable).
 Result<UnsafetyCertificate> BuildUnsafetyCertificate(
     const Transaction& t1, const Transaction& t2,
-    const std::vector<EntityId>& dominator);
+    const std::vector<EntityId>& dominator, const ClosureResult& closed);
 
 /// Builds a certificate directly from a given pair of linear extensions of
 /// {T1, T2}: finds a dominator of D(t1, t2) whose rectangle partition admits

@@ -5,7 +5,6 @@
 
 #include "core/conflict_graph.h"
 #include "graph/csr.h"
-#include "graph/dominator.h"
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/string_util.h"
@@ -13,12 +12,6 @@
 namespace dislock {
 
 namespace {
-
-/// Common conflicting entities of the pair (the V of D(T1,T2)).
-std::vector<EntityId> CommonLocked(const Transaction& t1,
-                                   const Transaction& t2) {
-  return ConflictingEntities(t1, t2);
-}
 
 /// A Definition 3 violation: the antecedent holds but a consequent fails.
 struct Violation {
@@ -62,91 +55,16 @@ Violation FindViolation(const Transaction& t1, const Transaction& t2,
 bool IsClosedWithRespectTo(const Transaction& t1, const Transaction& t2,
                            const std::vector<EntityId>& x_set) {
   std::set<EntityId> xs(x_set.begin(), x_set.end());
-  std::vector<EntityId> common = CommonLocked(t1, t2);
+  std::vector<EntityId> common = ConflictingEntities(t1, t2);
   return !FindViolation(t1, t2, xs, common).found;
-}
-
-Result<ClosureResult> CloseWithRespectTo(const Transaction& t1,
-                                         const Transaction& t2,
-                                         const std::vector<EntityId>& x_set) {
-  ClosureResult result{t1, t2, 0, 0};
-  std::set<EntityId> xs(x_set.begin(), x_set.end());
-  std::vector<EntityId> common = CommonLocked(t1, t2);
-
-  // Verify X is a dominator of D(T1,T2).
-  {
-    ConflictGraph d = BuildConflictGraph(t1, t2);
-    std::vector<NodeId> nodes;
-    for (EntityId e : x_set) {
-      auto it = d.node_of.find(e);
-      if (it == d.node_of.end()) {
-        return Status::InvalidArgument(StrCat(
-            "entity '", t1.db().NameOf(e), "' is not commonly locked"));
-      }
-      nodes.push_back(it->second);
-    }
-    if (!IsDominator(d.graph, nodes)) {
-      return Status::InvalidArgument("X is not a dominator of D(T1,T2)");
-    }
-  }
-
-  // Fixpoint loop. Every round adds at least one precedence between steps of
-  // the O(|V|) lock/unlock steps, so it terminates within O(|V|^2) rounds.
-  const int max_rounds = 4 * static_cast<int>(common.size()) *
-                             static_cast<int>(common.size()) +
-                         8;
-  for (int round = 0; round < max_rounds; ++round) {
-    ++result.iterations;
-    Violation v = FindViolation(result.t1, result.t2, xs, common);
-    if (!v.found) return result;
-
-    if (v.x == v.y) {
-      return Status::Undecided(
-          "Lemma 2 antecedent holds with x == y: X is no longer a dominator "
-          "(possible only with three or more sites)");
-    }
-    // Lemma 2's inference requires the added precedences to be consistent
-    // with the existing orders: Ux must not precede Uy in T1 and Lx must not
-    // precede Ly in T2. Lemma 3 guarantees this at <= 2 sites.
-    const Transaction& c1 = result.t1;
-    const Transaction& c2 = result.t2;
-    if (c1.Precedes(c1.UnlockStep(v.x), c1.UnlockStep(v.y)) ||
-        c2.Precedes(c2.LockStep(v.x), c2.LockStep(v.y))) {
-      return Status::Undecided(
-          "Lemma 2 inference contradicts the existing partial orders "
-          "(possible only with three or more sites)");
-    }
-    if (!c1.Precedes(c1.UnlockStep(v.y), c1.UnlockStep(v.x))) {
-      result.t1.AddPrecedence(result.t1.UnlockStep(v.y),
-                              result.t1.UnlockStep(v.x));
-      ++result.precedences_added;
-    }
-    if (!c2.Precedes(c2.LockStep(v.y), c2.LockStep(v.x))) {
-      result.t2.AddPrecedence(result.t2.LockStep(v.y),
-                              result.t2.LockStep(v.x));
-      ++result.precedences_added;
-    }
-
-    // Re-verify that X is still a dominator of the evolved D graph (Lemma 3
-    // guarantees it for two sites; for more sites it can fail).
-    ConflictGraph d = BuildConflictGraph(result.t1, result.t2);
-    std::vector<NodeId> nodes;
-    for (EntityId e : x_set) nodes.push_back(d.node_of.at(e));
-    if (!IsDominator(d.graph, nodes)) {
-      return Status::Undecided(
-          "X stopped being a dominator during closure (possible only with "
-          "three or more sites)");
-    }
-  }
-  return Status::Internal("closure did not converge within its round bound");
 }
 
 namespace {
 
-/// The flat closure's working state for one transaction: its strict partial
+/// The closure's working state for one transaction: its strict partial
 /// order as a reflexive-transitive-closure bitset matrix over step ids,
 /// updated incrementally as the closure adds precedence arcs.
-struct FlatOrder {
+struct OrderMatrix {
   int num_steps = 0;
   size_t words = 0;        ///< words per row
   uint64_t* rows = nullptr;  ///< num_steps rows, arena-owned
@@ -173,8 +91,8 @@ struct FlatOrder {
   }
 
   /// Registers the new arc u -> v: every row that reaches u absorbs v's
-  /// row. One pass over the matrix, no rebuild — this is what replaces the
-  /// legacy loop's full Reachability reconstruction per added precedence.
+  /// row. One pass over the matrix, no rebuild of the Transaction's
+  /// reachability memo per added precedence.
   void AddArc(StepId u, StepId v) {
     const uint64_t* vrow = Row(v);
     for (int a = 0; a < num_steps; ++a) {
@@ -189,10 +107,10 @@ struct FlatOrder {
 
 /// D(T1,T2) evaluated directly from the two flat orders. Returns true iff
 /// X (given as a membership mask over `common` indices) is a dominator of
-/// the *current* D: no arc from V - X into X. Matches IsDominator over
-/// BuildConflictGraph byte for byte because the arc predicate is the same
-/// pair of strict-precedence queries.
-bool FlatXIsDominator(const FlatOrder& o1, const FlatOrder& o2,
+/// the *current* D: no arc from V - X into X. Equals IsDominator over
+/// BuildConflictGraph because the arc predicate is the same pair of
+/// strict-precedence queries.
+bool XIsDominator(const OrderMatrix& o1, const OrderMatrix& o2,
                       const std::vector<EntityId>& common,
                       const StepId* lock1, const StepId* unlock1,
                       const StepId* lock2, const StepId* unlock2,
@@ -215,11 +133,11 @@ bool FlatXIsDominator(const FlatOrder& o1, const FlatOrder& o2,
 
 }  // namespace
 
-Result<ClosureResult> CloseWithRespectToFlat(
-    const Transaction& t1, const Transaction& t2,
-    const std::vector<EntityId>& x_set) {
+Result<ClosureResult> CloseWithRespectTo(const Transaction& t1,
+                                         const Transaction& t2,
+                                         const std::vector<EntityId>& x_set) {
   ClosureResult result{t1, t2, 0, 0};
-  std::vector<EntityId> common = CommonLocked(t1, t2);
+  std::vector<EntityId> common = ConflictingEntities(t1, t2);
   const int k = static_cast<int>(common.size());
 
   Arena* arena = ScratchArena();
@@ -238,10 +156,9 @@ Result<ClosureResult> CloseWithRespectToFlat(
     unlock2[i] = t2.UnlockStep(common[i]);
   }
 
-  // Validate X in two passes mirroring the legacy order exactly: first every
-  // member must be commonly locked (first offender reported by name), only
-  // then are duplicates rejected (legacy IsDominator sees them after the
-  // whole mapping loop succeeded).
+  // Validate X in two passes: first every member must be commonly locked
+  // (first offender reported by name), only then are duplicates rejected
+  // (as IsDominator would reject them).
   for (EntityId e : x_set) {
     if (!std::binary_search(common.begin(), common.end(), e)) {
       return Status::InvalidArgument(
@@ -261,16 +178,16 @@ Result<ClosureResult> CloseWithRespectToFlat(
     return Status::InvalidArgument("X is not a dominator of D(T1,T2)");
   }
 
-  FlatOrder o1, o2;
+  OrderMatrix o1, o2;
   o1.Build(t1, arena);
   o2.Build(t2, arena);
 
-  if (!FlatXIsDominator(o1, o2, common, lock1, unlock1, lock2, unlock2, in_x,
+  if (!XIsDominator(o1, o2, common, lock1, unlock1, lock2, unlock2, in_x,
                         num_in_x)) {
     return Status::InvalidArgument("X is not a dominator of D(T1,T2)");
   }
 
-  // Ascending-id X iteration, mirroring the legacy std::set<EntityId> scan.
+  // X iterated in ascending entity id.
   std::vector<int> x_idx;
   x_idx.reserve(static_cast<size_t>(num_in_x));
   for (int i = 0; i < k; ++i) {
@@ -281,7 +198,7 @@ Result<ClosureResult> CloseWithRespectToFlat(
   for (int round = 0; round < max_rounds; ++round) {
     ++result.iterations;
 
-    // FindViolation on the evolving flat orders: identical scan order (z
+    // FindViolation on the evolving orders, in the same scan order (z
     // ascending over common minus X, then x, then y ascending over X).
     int vz = -1, vx = -1, vy = -1;
     for (int z = 0; z < k && vz < 0; ++z) {
@@ -328,7 +245,7 @@ Result<ClosureResult> CloseWithRespectToFlat(
       ++result.precedences_added;
     }
 
-    if (!FlatXIsDominator(o1, o2, common, lock1, unlock1, lock2, unlock2,
+    if (!XIsDominator(o1, o2, common, lock1, unlock1, lock2, unlock2,
                           in_x, num_in_x)) {
       return Status::Undecided(
           "X stopped being a dominator during closure (possible only with "

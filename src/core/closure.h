@@ -43,20 +43,14 @@ struct ClosureResult {
 ///   * Undecided        — an inference of Lemma 2 is contradicted (the added
 ///                        precedence would create a cycle) or X stops being
 ///                        a dominator, so Corollary 2 cannot be applied.
+///
+/// The fixpoint loop runs on arena-backed reachability matrices over the two
+/// step DAGs, updated incrementally per added precedence, and re-derives the
+/// evolving D(T1,T2) from the same matrices instead of re-materializing a
+/// ConflictGraph per round.
 Result<ClosureResult> CloseWithRespectTo(const Transaction& t1,
                                          const Transaction& t2,
                                          const std::vector<EntityId>& x_set);
-
-/// Flat-kernel closure (EngineConfig::use_flat_kernel): identical contract,
-/// verdicts, Status messages, and counters to CloseWithRespectTo, but the
-/// fixpoint loop runs on arena-backed flat reachability matrices over the
-/// two step DAGs, updated incrementally per added precedence — it never
-/// triggers the Transaction reachability-memo rebuild that makes the legacy
-/// loop quadratic in practice, and it re-derives the evolving D(T1,T2) from
-/// the same matrices instead of re-materializing a ConflictGraph per round.
-Result<ClosureResult> CloseWithRespectToFlat(const Transaction& t1,
-                                             const Transaction& t2,
-                                             const std::vector<EntityId>& x_set);
 
 }  // namespace dislock
 

@@ -58,14 +58,6 @@ struct EngineConfig {
 
   // ---- Execution ----
 
-  /// Run the engine's compute core on the flat CSR + bitset kernels
-  /// (graph/csr.h, the arena-backed SCC / reachability / closure / cycle
-  /// implementations) instead of the pointer-heavy legacy structures.
-  /// Verdicts, reports, and all serialized counters are bit-identical
-  /// either way — the flag exists so the differential property tests can
-  /// run both implementations against each other, and as an escape hatch.
-  bool use_flat_kernel = true;
-
   /// Worker threads for the parallel engine (pair tests, cycle checks, the
   /// per-pair dominator fan-out). 1 = serial (default), 0 = one per
   /// hardware thread. Reports are bit-identical at any thread count.

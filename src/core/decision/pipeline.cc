@@ -45,9 +45,7 @@ PairSafetyReport DecisionPipeline::Decide(const Transaction& t1,
   report.d = BuildConflictGraph(t1, t2);
 
   const EngineConfig& config = ctx->config();
-  report.d_strongly_connected = config.use_flat_kernel
-                                    ? IsStronglyConnectedFlat(report.d.graph)
-                                    : IsStronglyConnected(report.d.graph);
+  report.d_strongly_connected = IsStronglyConnected(report.d.graph);
   // The detail of the last undecided stage that had one (e.g. a
   // ResourceExhausted status string) becomes the report detail when the
   // whole cascade comes up empty — matching the legacy cascade, where each

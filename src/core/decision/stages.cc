@@ -36,10 +36,8 @@ struct ClosureAttempt {
 };
 
 ClosureAttempt TryCloseDominator(const Transaction& t1, const Transaction& t2,
-                                 const std::vector<EntityId>& x,
-                                 bool use_flat_kernel) {
-  auto closed = use_flat_kernel ? CloseWithRespectToFlat(t1, t2, x)
-                                : CloseWithRespectTo(t1, t2, x);
+                                 const std::vector<EntityId>& x) {
+  auto closed = CloseWithRespectTo(t1, t2, x);
   if (!closed.ok()) {
     // kUndecided from the closure is a PROOF that X cannot certify
     // unsafety (the contradiction holds in every extension pair).
@@ -49,8 +47,8 @@ ClosureAttempt TryCloseDominator(const Transaction& t1, const Transaction& t2,
             std::nullopt};
   }
   // Closed with respect to a dominator: Corollary 2 says unsafe; construct
-  // and verify the certificate.
-  auto cert = BuildUnsafetyCertificate(t1, t2, x);
+  // and verify the certificate from this very closure.
+  auto cert = BuildUnsafetyCertificate(t1, t2, x, closed.value());
   if (!cert.ok()) return {ClosureOutcome::kUnproven, std::nullopt};
   return {ClosureOutcome::kCertified, std::move(cert).value()};
 }
@@ -113,12 +111,11 @@ class Theorem2TwoSiteStage : public DecisionProcedure {
 
   StageOutcome Decide(const Transaction& t1, const Transaction& t2,
                       const PairSafetyReport&,
-                      EngineContext* ctx) const override {
+                      EngineContext*) const override {
     StageOutcome out;
     out.work = 1;
     out.decided = true;  // complete for its fragment, success or not
-    auto two_site =
-        TwoSiteSafetyTest(t1, t2, ctx->config().use_flat_kernel);
+    auto two_site = TwoSiteSafetyTest(t1, t2);
     if (!two_site.ok()) {
       out.verdict = SafetyVerdict::kUnknown;
       out.detail = two_site.status().ToString();
@@ -169,9 +166,7 @@ class Corollary2ClosureStage : public DecisionProcedure {
 
     std::vector<std::vector<NodeId>> dominators = [&] {
       obs::TraceSpan span(ctx->trace(), wire::kSpanClosureDominators);
-      return config.use_flat_kernel
-                 ? AllDominatorsFlat(draft.d.graph, config.max_dominators + 1)
-                 : AllDominators(draft.d.graph, config.max_dominators + 1);
+      return AllDominators(draft.d.graph, config.max_dominators + 1);
     }();
     bool enumeration_complete =
         static_cast<int64_t>(dominators.size()) <= config.max_dominators;
@@ -183,8 +178,7 @@ class Corollary2ClosureStage : public DecisionProcedure {
       // One span per closure run, from whichever thread runs it — this is
       // the loop the trace exists to make visible.
       obs::TraceSpan span(ctx->trace(), wire::kSpanClosureDominator);
-      return TryCloseDominator(t1, t2, draft.d.EntitiesOf(dom_nodes),
-                               config.use_flat_kernel);
+      return TryCloseDominator(t1, t2, draft.d.EntitiesOf(dom_nodes));
     };
     auto certified = [&](ClosureAttempt attempt, size_t winner) {
       return CertifiedOutcome(
@@ -372,8 +366,7 @@ class SatExhaustiveStage : public DecisionProcedure {
         }
       }
       ClosureAttempt attempt =
-          TryCloseDominator(t1, t2, draft.d.EntitiesOf(dom_nodes),
-                            ctx->config().use_flat_kernel);
+          TryCloseDominator(t1, t2, draft.d.EntitiesOf(dom_nodes));
       if (attempt.outcome == ClosureOutcome::kCertified) {
         return CertifiedOutcome(
             DecisionMethod::kSatExhaustive,

@@ -53,10 +53,11 @@ struct EngineTotals {
 /// statistics — as a from-scratch AnalyzeMultiSafety of the catalog's
 /// materialization under a *fresh* EngineContext with the same config,
 /// except for the extra `delta` block (absent on batch reports). This holds
-/// because the batch path itself reduces by replaying the serial memoized
-/// scan over computed verdicts (core/multi.h); the engine feeds that same
-/// replay verdicts pulled from its stores, and fingerprint-equal pairs
-/// provably have identical reports (cache/verdict_cache.h). A shared
+/// because both run one routine, CheckProposition2 (core/multi.h): the
+/// batch call passes no store, this engine passes its VerdictStore, and
+/// the routine reduces either way by replaying the same serial memoized
+/// scan — over verdicts it just computed, or over stored ones, which
+/// fingerprint-equal pairs provably share (cache/verdict_cache.h). A shared
 /// external config.cache is deliberately NOT consulted: its pre-populated
 /// entries are not reconstructible from the catalog alone and would break
 /// the fresh-context equivalence.

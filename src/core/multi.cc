@@ -2,32 +2,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <future>
-#include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
-#include "core/decision/context.h"
 #include "cache/verdict_cache.h"
+#include "cache/verdict_store.h"
+#include "core/decision/context.h"
+#include "core/incremental/store.h"
 #include "core/wire_keys.h"
 #include "graph/csr.h"
 #include "graph/cycles.h"
 #include "obs/trace.h"
 #include "util/arena.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace dislock {
 
 namespace {
-
-/// Entities on which the two transactions conflict (see ConflictingEntities
-/// in core/conflict_graph.h).
-std::vector<EntityId> CommonLocked(const Transaction& a,
-                                   const Transaction& b) {
-  return ConflictingEntities(a, b);
-}
 
 /// Atomically lowers `target` to `idx` if `idx` is smaller.
 void AtomicMin(std::atomic<size_t>* target, size_t idx) {
@@ -37,18 +30,139 @@ void AtomicMin(std::atomic<size_t>* target, size_t idx) {
   }
 }
 
-/// One unit of condition (a) work: the lexicographically-first member of a
-/// group of fingerprint-equal conflicting pairs (every pair is its own
-/// group when no cache is configured).
-struct PairGroup {
-  std::pair<int, int> rep;      // lex-first member, the one actually run
-  size_t rep_scan_index = 0;    // its position in the lex scan order
-  std::string fingerprint;      // empty when no cache is configured
-  /// Pre-populated SAFE cache hit: the whole group is skipped.
+/// Runs fn(i) for i in [0, n) and returns the smallest i for which fn
+/// returned true (a "hit"), or n. With a pool and more than one item the
+/// indices are submitted in chunks of `chunk` consecutive indices (cycle
+/// checks are cheap relative to task dispatch); otherwise they run serially
+/// in order. With `early_exit`, indices past a known hit are skipped — the
+/// serial loop stops at its first hit, parallel chunks re-check before
+/// every index — which only ever skips work the serial scan would not have
+/// reached. Without it every index runs.
+template <typename Fn>
+size_t FanOut(ThreadPool* pool, size_t n, size_t chunk, bool early_exit,
+              const Fn& fn) {
+  if (pool == nullptr || n <= 1) {
+    size_t first = n;
+    for (size_t i = 0; i < n; ++i) {
+      if (fn(i) && first == n) {
+        first = i;
+        if (early_exit) break;
+      }
+    }
+    return first;
+  }
+  std::atomic<size_t> first{n};
+  std::vector<std::future<void>> futures;
+  futures.reserve((n + chunk - 1) / chunk);
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    const size_t end = std::min(begin + chunk, n);
+    futures.push_back(pool->Submit([&, begin, end] {
+      for (size_t i = begin; i < end; ++i) {
+        if (early_exit && i > first.load(std::memory_order_acquire)) return;
+        if (fn(i)) AtomicMin(&first, i);
+      }
+    }));
+  }
+  for (auto& f : futures) f.get();
+  return first.load(std::memory_order_acquire);
+}
+
+/// The conflicting pairs (i < j) of G in the lexicographic scan order of
+/// the classic serial loop — the order every reduction replays.
+std::vector<std::pair<int, int>> ConflictingPairs(const Digraph& g) {
+  const int k = g.NumNodes();
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < k; ++i) {
+    for (int j = i + 1; j < k; ++j) {
+      if (g.HasArc(i, j)) pairs.emplace_back(i, j);
+    }
+  }
+  return pairs;
+}
+
+/// The config every pair procedure runs under: no verdict cache (grouping
+/// fingerprint-equal pairs happens here, one level up), and under a pool a
+/// serial pipeline — the pair fan-out owns the workers, so nested per-pair
+/// dominator parallelism would oversubscribe them.
+EngineConfig PairConfig(const EngineConfig& options, bool pooled) {
+  EngineConfig pair_config = options;
+  pair_config.cache = nullptr;
+  pair_config.enable_cache = false;
+  pair_config.store = nullptr;
+  if (pooled) pair_config.num_threads = 1;
+  return pair_config;
+}
+
+/// One conflicting pair in scan order, with its resolved verdict source.
+struct ScanPair {
+  std::pair<int, int> txns;  ///< dense indices, first < second
+  /// Fingerprint group of the pair (every pair its own group when no
+  /// verdict cache is configured). Groups are numbered by first appearance
+  /// in scan order.
+  int group = 0;
+  /// The group representative's report. Consulted only at the group's
+  /// first scan appearance; may be null for pairs the serial scan never
+  /// reaches (early-exit cancellation skipped them).
+  const PairSafetyReport* report = nullptr;
+  /// The whole group was pre-decided SAFE by an external verdict cache.
   bool cached_safe = false;
-  PairSafetyReport report;      // filled by the run (unless cached_safe)
-  bool ran = false;
 };
+
+/// Replays the serial memoized scan over resolved pair verdicts: counts
+/// pairs_checked / pairs_cached, aggregates pipeline statistics, and stops
+/// at the lexicographically-first non-safe group. On failure fills
+/// verdict / failing_pair / pair_report and returns the failing scan
+/// index. `on_checked` fires once per counted group, in scan order.
+std::optional<size_t> ReplayPairScan(
+    const std::vector<ScanPair>& scan, int num_groups,
+    const std::function<void(const ScanPair&)>& on_checked,
+    MultiSafetyReport* report) {
+  std::vector<bool> group_seen(static_cast<size_t>(num_groups), false);
+  for (size_t p = 0; p < scan.size(); ++p) {
+    const ScanPair& pair = scan[p];
+    if (pair.cached_safe || group_seen[static_cast<size_t>(pair.group)]) {
+      // Skipped via the cache (pre-populated SAFE entry, or decided at
+      // the group's first member earlier in this very scan).
+      ++report->pairs_cached;
+      continue;
+    }
+    group_seen[static_cast<size_t>(pair.group)] = true;
+    ++report->pairs_checked;
+    // p is this group's first member, i.e. its representative.
+    DISLOCK_CHECK(pair.report != nullptr);
+    report->pipeline.Add(pair.report->pipeline);
+    if (on_checked) on_checked(pair);
+    if (pair.report->verdict != SafetyVerdict::kSafe) {
+      report->verdict = pair.report->verdict;
+      report->failing_pair = pair.txns;
+      report->pair_report = *pair.report;
+      return p;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Reduces condition (b): given the filtered directed cycles in enumeration
+/// order and the index of the first cycle whose B_c is acyclic (or
+/// to_check->size() if none), fills cycles_checked / verdict /
+/// failing_cycle / cycle_budget_exhausted exactly like the serial loop.
+/// Consumes `to_check` (the failing cycle is moved out).
+void ReduceCycleScan(std::vector<std::vector<int>>* to_check,
+                     size_t first_acyclic, bool budget_exhausted,
+                     MultiSafetyReport* report) {
+  report->cycle_budget_exhausted = budget_exhausted;
+  if (first_acyclic < to_check->size()) {
+    // The serial loop counts every cycle examined up to and including the
+    // failing one.
+    report->cycles_checked = static_cast<int>(first_acyclic) + 1;
+    report->verdict = SafetyVerdict::kUnsafe;
+    report->failing_cycle = std::move((*to_check)[first_acyclic]);
+    return;
+  }
+  report->cycles_checked = static_cast<int>(to_check->size());
+  report->verdict = budget_exhausted ? SafetyVerdict::kUnknown
+                                     : SafetyVerdict::kSafe;
+}
 
 }  // namespace
 
@@ -64,8 +178,8 @@ FlatCycleChecker::FlatCycleChecker(
   }
 }
 
-// Arc duplicates that AddArcUnique would have filtered are kept — they
-// cannot change acyclicity — so the verdict matches the legacy check.
+// Duplicate arcs (an entity pair reached from two cycle positions of a
+// 2-cycle) are kept: they cannot change acyclicity.
 bool FlatCycleChecker::BcHasCycle(const std::vector<int>& cycle) const {
   const int len = static_cast<int>(cycle.size());
   DISLOCK_CHECK_GE(len, 2);
@@ -73,8 +187,8 @@ bool FlatCycleChecker::BcHasCycle(const std::vector<int>& cycle) const {
   ArenaScope scope(arena);
 
   // Edge slot per cycle position; a 2-cycle's two positions share one
-  // unordered pair (and therefore one slot), exactly like the
-  // BijkNodeKey canonicalization.
+  // unordered pair (and therefore one slot): node identity is the pair
+  // (unordered transaction pair, entity).
   int* slot_of_p = arena->AllocateArray<int>(static_cast<size_t>(len));
   const std::vector<EntityId>** slot_entities =
       arena->AllocateArray<const std::vector<EntityId>*>(
@@ -176,7 +290,7 @@ Digraph BuildTransactionConflictGraph(const SystemView& view) {
   for (int i = 0; i < k; ++i) {
     g.SetLabel(i, view.txn(i).name());
     for (int j = i + 1; j < k; ++j) {
-      if (!CommonLocked(view.txn(i), view.txn(j)).empty()) {
+      if (!ConflictingEntities(view.txn(i), view.txn(j)).empty()) {
         g.AddArc(i, j);
         g.AddArc(j, i);
       }
@@ -189,124 +303,6 @@ Digraph BuildTransactionConflictGraph(const TransactionSystem& system) {
   return BuildTransactionConflictGraph(system.View());
 }
 
-Digraph BuildCycleGraph(const SystemView& view,
-                        const std::vector<int>& cycle) {
-  const int len = static_cast<int>(cycle.size());
-  DISLOCK_CHECK_GE(len, 2);
-  Digraph b;
-  std::map<BijkNodeKey, NodeId> node_of;
-
-  auto node = [&](int ti, int tj, EntityId e) {
-    BijkNodeKey key{std::min(ti, tj), std::max(ti, tj), e};
-    auto it = node_of.find(key);
-    if (it != node_of.end()) return it->second;
-    NodeId id = b.AddNode(StrCat(view.db().NameOf(e), "_", key.lo_txn + 1,
-                                 key.hi_txn + 1));
-    node_of.emplace(key, id);
-    return id;
-  };
-
-  // One B_ijk per directed subpath (Ti, Tj, Tk) of the cycle.
-  for (int p = 0; p < len; ++p) {
-    int i = cycle[(p + len - 1) % len];
-    int j = cycle[p];
-    int k = cycle[(p + 1) % len];
-    const Transaction& tj = view.txn(j);
-    std::vector<EntityId> in_pair = CommonLocked(view.txn(i), tj);
-    std::vector<EntityId> out_pair = CommonLocked(tj, view.txn(k));
-
-    // (x_ij, y_jk) iff Lx precedes Uy in Tj.
-    for (EntityId x : in_pair) {
-      for (EntityId y : out_pair) {
-        if (tj.Precedes(tj.LockStep(x), tj.UnlockStep(y))) {
-          b.AddArcUnique(node(i, j, x), node(j, k, y));
-        }
-      }
-    }
-    // (x_ij, x'_ij) iff Lx precedes Lx' in Tj.
-    for (EntityId x : in_pair) {
-      for (EntityId x2 : in_pair) {
-        if (x == x2) continue;
-        if (tj.Precedes(tj.LockStep(x), tj.LockStep(x2))) {
-          b.AddArcUnique(node(i, j, x), node(i, j, x2));
-        }
-      }
-    }
-    // (y_jk, y'_jk) iff Uy precedes Uy' in Tj.
-    for (EntityId y : out_pair) {
-      for (EntityId y2 : out_pair) {
-        if (y == y2) continue;
-        if (tj.Precedes(tj.UnlockStep(y), tj.UnlockStep(y2))) {
-          b.AddArcUnique(node(j, k, y), node(j, k, y2));
-        }
-      }
-    }
-  }
-  return b;
-}
-
-Digraph BuildCycleGraph(const TransactionSystem& system,
-                        const std::vector<int>& cycle) {
-  return BuildCycleGraph(system.View(), cycle);
-}
-
-std::vector<std::pair<int, int>> ConflictingPairs(const Digraph& g) {
-  const int k = g.NumNodes();
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < k; ++i) {
-    for (int j = i + 1; j < k; ++j) {
-      if (g.HasArc(i, j)) pairs.emplace_back(i, j);
-    }
-  }
-  return pairs;
-}
-
-std::optional<size_t> ReplayPairScan(
-    const std::vector<ScanPair>& scan, int num_groups,
-    const std::function<void(const ScanPair&)>& on_checked,
-    MultiSafetyReport* report) {
-  std::vector<bool> group_seen(static_cast<size_t>(num_groups), false);
-  for (size_t p = 0; p < scan.size(); ++p) {
-    const ScanPair& pair = scan[p];
-    if (pair.cached_safe || group_seen[static_cast<size_t>(pair.group)]) {
-      // Skipped via the cache (pre-populated SAFE entry, or decided at
-      // the group's first member earlier in this very scan).
-      ++report->pairs_cached;
-      continue;
-    }
-    group_seen[static_cast<size_t>(pair.group)] = true;
-    ++report->pairs_checked;
-    // p is this group's first member, i.e. its representative.
-    DISLOCK_CHECK(pair.report != nullptr);
-    report->pipeline.Add(pair.report->pipeline);
-    if (on_checked) on_checked(pair);
-    if (pair.report->verdict != SafetyVerdict::kSafe) {
-      report->verdict = pair.report->verdict;
-      report->failing_pair = pair.txns;
-      report->pair_report = *pair.report;
-      return p;
-    }
-  }
-  return std::nullopt;
-}
-
-void ReduceCycleScan(std::vector<std::vector<int>>* to_check,
-                     size_t first_acyclic, bool budget_exhausted,
-                     MultiSafetyReport* report) {
-  report->cycle_budget_exhausted = budget_exhausted;
-  if (first_acyclic < to_check->size()) {
-    // The serial loop counts every cycle examined up to and including the
-    // failing one.
-    report->cycles_checked = static_cast<int>(first_acyclic) + 1;
-    report->verdict = SafetyVerdict::kUnsafe;
-    report->failing_cycle = std::move((*to_check)[first_acyclic]);
-    return;
-  }
-  report->cycles_checked = static_cast<int>(to_check->size());
-  report->verdict = budget_exhausted ? SafetyVerdict::kUnknown
-                                     : SafetyVerdict::kSafe;
-}
-
 MultiSafetyReport AnalyzeMultiSafety(const TransactionSystem& system,
                                      const MultiSafetyOptions& options) {
   EngineContext ctx(options);
@@ -315,18 +311,28 @@ MultiSafetyReport AnalyzeMultiSafety(const TransactionSystem& system,
 
 MultiSafetyReport AnalyzeMultiSafety(const TransactionSystem& system,
                                      EngineContext* ctx) {
-  return AnalyzeMultiSafety(system.View(), ctx);
+  return CheckProposition2(system.View(), ctx);
 }
 
 MultiSafetyReport AnalyzeMultiSafety(const SystemView& view,
                                      EngineContext* ctx) {
-  const MultiSafetyOptions& options = ctx->config();
+  return CheckProposition2(view, ctx);
+}
+
+MultiSafetyReport CheckProposition2(const SystemView& view,
+                                    EngineContext* ctx, VerdictStore* memo,
+                                    const std::vector<TxnId>* ids) {
+  const EngineConfig& options = ctx->config();
+  const bool persist = memo != nullptr;
+  DISLOCK_CHECK(!persist || ids != nullptr);
   MultiSafetyReport report;
-  PairVerdictCache* cache = ctx->cache();
+  DeltaStats delta;
+  ThreadPool* pool = ctx->pool();
   // Phase span for condition (a); the per-pair work shows up nested under
   // it (serial) or under the workers' "pool.task" spans (parallel).
   std::optional<obs::TraceSpan> pairs_span;
-  pairs_span.emplace(ctx->trace(), wire::kSpanMultiPairs);
+  pairs_span.emplace(ctx->trace(), persist ? wire::kSpanIncrementalPairs
+                                           : wire::kSpanMultiPairs);
 
   // The conflict graph G drives both conditions: its arcs are exactly the
   // conflicting pairs of condition (a), and its directed cycles are the
@@ -338,130 +344,147 @@ MultiSafetyReport AnalyzeMultiSafety(const SystemView& view,
   // Conflicting pairs in the lexicographic scan order of the serial loop.
   std::vector<std::pair<int, int>> pairs = ConflictingPairs(g);
 
-  // Group fingerprint-equal pairs; only each group's lex-first member runs
-  // the (potentially coNP-hard) pair procedure. Without a cache every pair
-  // is a singleton group and this degenerates to the plain pairwise scan.
-  std::vector<PairGroup> groups;
+  // Group fingerprint-equal pairs: they provably get identical reports
+  // (cache/verdict_cache.h), so only each group's lex-first member runs
+  // the (potentially coNP-hard) pair procedure. Groups exist exactly when
+  // a fresh EngineContext would own a verdict cache — warm or cold plays
+  // no role — so both modes count pairs_checked/pairs_cached alike.
+  // Without a cache every pair is a singleton group and this degenerates
+  // to the plain pairwise scan.
+  const bool grouped = options.cache != nullptr || options.enable_cache ||
+                       options.store != nullptr;
+  std::unordered_map<std::string, int> group_index;
+  std::vector<const std::string*> group_fingerprint;  // when grouped
+  std::vector<size_t> group_rep;  // scan index of each group's first member
   std::vector<int> group_of(pairs.size());
-  if (cache != nullptr) {
-    std::unordered_map<std::string, int> group_index;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (!grouped) {
+      group_of[p] = static_cast<int>(p);
+      group_rep.push_back(p);
+      continue;
+    }
+    auto [it, inserted] = group_index.emplace(
+        PairFingerprint(view.txn(pairs[p].first), view.txn(pairs[p].second)),
+        static_cast<int>(group_rep.size()));
+    if (inserted) {
+      group_rep.push_back(p);
+      group_fingerprint.push_back(&it->first);
+    }
+    group_of[p] = it->second;
+  }
+  const size_t num_groups = group_rep.size();
+
+  // The pairs that run the pair procedure now (scan indices, ascending):
+  // the memo's misses in check mode; in batch mode the representatives of
+  // the groups the verdict cache does not already know to be SAFE.
+  PairVerdictCache* cache = grouped && !persist ? ctx->cache() : nullptr;
+  std::vector<char> cached_safe(num_groups, 0);
+  std::vector<std::pair<TxnId, TxnId>> keys;  // check mode only
+  std::vector<size_t> work;
+  if (persist) {
+    keys.reserve(pairs.size());
     for (size_t p = 0; p < pairs.size(); ++p) {
-      std::string fp =
-          options.use_flat_kernel
-              ? PairFingerprintFlat(view.txn(pairs[p].first),
-                                    view.txn(pairs[p].second))
-              : PairFingerprint(view.txn(pairs[p].first),
-                                view.txn(pairs[p].second));
-      auto [it, inserted] =
-          group_index.emplace(std::move(fp), static_cast<int>(groups.size()));
-      if (inserted) {
-        PairGroup group;
-        group.rep = pairs[p];
-        group.rep_scan_index = p;
-        group.fingerprint = it->first;
-        auto cached = cache->Lookup(it->first);
-        group.cached_safe =
-            cached.has_value() && cached->verdict == SafetyVerdict::kSafe;
-        groups.push_back(std::move(group));
+      const TxnId a = (*ids)[static_cast<size_t>(pairs[p].first)];
+      const TxnId b = (*ids)[static_cast<size_t>(pairs[p].second)];
+      keys.emplace_back(std::min(a, b), std::max(a, b));
+      if (memo->pairs.find(keys.back()) == memo->pairs.end()) {
+        work.push_back(p);
       }
-      group_of[p] = it->second;
     }
   } else {
-    groups.reserve(pairs.size());
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      PairGroup group;
-      group.rep = pairs[p];
-      group.rep_scan_index = p;
-      groups.push_back(std::move(group));
-      group_of[p] = static_cast<int>(p);
+    for (size_t gi = 0; gi < num_groups; ++gi) {
+      if (cache != nullptr) {
+        auto hit = cache->Lookup(*group_fingerprint[gi]);
+        cached_safe[gi] = hit.has_value() &&
+                          hit->verdict == SafetyVerdict::kSafe;
+      }
+      if (!cached_safe[gi]) work.push_back(group_rep[gi]);
     }
   }
 
-  // Run the group representatives. Parallel runs use early-exit
-  // cancellation: once a representative at scan index s reports a non-safe
-  // verdict, representatives with scan index > s are skipped — the serial
-  // scan would have stopped at s and never reached them. Representatives
-  // with a smaller index always complete, so the lexicographically-first
-  // failing pair is found exactly.
-  std::vector<size_t> to_run;
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    if (!groups[gi].cached_safe) to_run.push_back(gi);
-  }
-  ThreadPool* pool = ctx->pool();
-  EngineConfig pair_config = options;
-  pair_config.cache = nullptr;
-  pair_config.enable_cache = false;
-  pair_config.store = nullptr;
-  if (pool != nullptr) {
-    // The pair fan-out owns the pool; nested per-pair dominator
-    // parallelism would oversubscribe the workers.
-    pair_config.num_threads = 1;
-  }
-  auto run_group = [&](PairGroup* group) {
-    group->report = AnalyzePairSafety(view.txn(group->rep.first),
-                                      view.txn(group->rep.second),
-                                      pair_config);
-    group->ran = true;
-  };
-  if (pool != nullptr && to_run.size() > 1) {
-    std::atomic<size_t> first_failing_scan_index{pairs.size()};
-    std::vector<std::future<void>> futures;
-    futures.reserve(to_run.size());
-    for (size_t gi : to_run) {
-      futures.push_back(pool->Submit([&, gi] {
-        PairGroup* group = &groups[gi];
-        if (group->rep_scan_index >
-            first_failing_scan_index.load(std::memory_order_acquire)) {
-          return;  // the serial scan would have stopped earlier
-        }
-        run_group(group);
-        if (group->report.verdict != SafetyVerdict::kSafe) {
-          AtomicMin(&first_failing_scan_index, group->rep_scan_index);
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-  } else {
-    // Serial: scan representatives in order, stopping at the first
-    // non-safe verdict like the classic loop.
-    for (size_t gi : to_run) {
-      run_group(&groups[gi]);
-      if (groups[gi].report.verdict != SafetyVerdict::kSafe) break;
-    }
-  }
+  // Batch runs stop at the first non-safe verdict (in parallel: skip pairs
+  // past the earliest failing one seen so far); representatives before it
+  // always complete, so the lexicographically-first failing pair is found
+  // exactly. Check runs decide every miss, so the memo stays independent
+  // of scheduling.
+  const EngineConfig pair_config = PairConfig(options, pool != nullptr);
+  std::vector<PairSafetyReport> decided(work.size());
+  std::vector<char> ran(work.size(), 0);
+  FanOut(pool, work.size(), /*chunk=*/1, /*early_exit=*/!persist,
+         [&](size_t w) {
+           const std::pair<int, int>& p = pairs[work[w]];
+           decided[w] = AnalyzePairSafety(view.txn(p.first),
+                                          view.txn(p.second), pair_config);
+           ran[w] = 1;
+           return decided[w].verdict != SafetyVerdict::kSafe;
+         });
 
   // Deterministic reduction: replay the serial memoized scan over the
-  // computed group verdicts to reconstruct the counters (including the
+  // resolved verdicts to reconstruct the counters (including the
   // aggregated pipeline statistics) and find the lexicographically-first
   // failing pair.
-  std::vector<ScanPair> scan;
-  scan.reserve(pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const PairGroup& group = groups[static_cast<size_t>(group_of[p])];
-    ScanPair sp;
-    sp.txns = pairs[p];
-    sp.group = group_of[p];
-    sp.report = group.ran ? &group.report : nullptr;
-    sp.cached_safe = group.cached_safe;
-    scan.push_back(sp);
+  std::vector<ScanPair> scan(pairs.size());
+  if (persist) {
+    for (size_t w = 0; w < work.size(); ++w) {
+      // Contribute the fresh verdict to the persistent tier-2 store.
+      // Write-only on purpose: a check never *serves* a verdict from the
+      // store (that would make its counters vary with warmth — see
+      // docs/caching.md), but its work still warms the store for batch
+      // runs. The pending buffer dedups by fingerprint, so the flushed
+      // bytes are independent of compute order.
+      if (options.store != nullptr) {
+        CachedPairVerdict entry;
+        entry.verdict = decided[w].verdict;
+        entry.method = decided[w].method;
+        entry.sites_spanned = decided[w].sites_spanned;
+        options.store->Put(
+            *group_fingerprint[static_cast<size_t>(group_of[work[w]])],
+            entry);
+      }
+      memo->pairs.emplace(keys[work[w]], std::move(decided[w]));
+    }
+    delta.pairs_recomputed = static_cast<int64_t>(work.size());
+    delta.pairs_reused = static_cast<int64_t>(pairs.size() - work.size());
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      scan[p] = {pairs[p], group_of[p], &memo->pairs.at(keys[p]), false};
+    }
+  } else {
+    std::vector<const PairSafetyReport*> group_report(num_groups, nullptr);
+    for (size_t w = 0; w < work.size(); ++w) {
+      if (ran[w]) {
+        group_report[static_cast<size_t>(group_of[work[w]])] = &decided[w];
+      }
+    }
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const size_t gi = static_cast<size_t>(group_of[p]);
+      scan[p] = {pairs[p], group_of[p], group_report[gi],
+                 cached_safe[gi] != 0};
+    }
   }
   auto insert_into_cache = [&](const ScanPair& sp) {
     if (cache != nullptr) {
-      cache->Insert(groups[static_cast<size_t>(sp.group)].fingerprint,
+      cache->Insert(*group_fingerprint[static_cast<size_t>(sp.group)],
                     *sp.report);
     }
   };
-  std::optional<size_t> failing = ReplayPairScan(
-      scan, static_cast<int>(groups.size()), insert_into_cache, &report);
+  std::optional<size_t> failing =
+      ReplayPairScan(scan, static_cast<int>(num_groups), insert_into_cache,
+                     &report);
   pairs_span.reset();
-  if (failing.has_value()) return report;
+  if (failing.has_value()) {
+    // Condition (a) failed: the serial scan never enumerates cycles, so
+    // cycles_reused/cycles_recomputed stay 0.
+    if (persist) report.delta = delta;
+    return report;
+  }
 
   // ---- Condition (b): every directed cycle's B_c graph has a cycle. ----
-  obs::TraceSpan cycles_span(ctx->trace(), wire::kSpanMultiCycles);
+  obs::TraceSpan cycles_span(ctx->trace(), persist
+                                               ? wire::kSpanIncrementalCycles
+                                               : wire::kSpanMultiCycles);
   std::vector<std::vector<NodeId>> cycles =
-      options.use_flat_kernel ? SimpleCyclesFlat(g, options.max_cycles)
-                              : SimpleCycles(g, options.max_cycles);
-  bool budget_exhausted =
+      SimpleCycles(g, options.max_cycles);
+  const bool budget_exhausted =
       static_cast<int64_t>(cycles.size()) >= options.max_cycles;
   const size_t min_len = options.include_two_cycles ? 2 : 3;
   std::vector<std::vector<int>> to_check;
@@ -470,48 +493,55 @@ MultiSafetyReport AnalyzeMultiSafety(const SystemView& view,
     to_check.emplace_back(cycle.begin(), cycle.end());
   }
 
-  // The flat B_c kernel shares one read-only pair-entity table across the
-  // fan-out; each worker's scratch lives in its thread-local arena.
-  std::optional<FlatCycleChecker> flat_checker;
-  if (options.use_flat_kernel && !to_check.empty()) {
-    flat_checker.emplace(view, pairs);
-  }
-  auto bc_is_acyclic = [&](const std::vector<int>& cycle) {
-    return flat_checker.has_value()
-               ? !flat_checker->BcHasCycle(cycle)
-               : !HasCycle(BuildCycleGraph(view, cycle));
-  };
-
-  // Index (in enumeration order) of the first cycle whose B_c is acyclic.
-  size_t first_acyclic = to_check.size();
-  if (pool != nullptr && to_check.size() > 1) {
-    // Cycles are cheap relative to task dispatch, so they are checked in
-    // chunks; cancellation is re-checked per cycle inside a chunk.
-    constexpr size_t kChunk = 16;
-    std::atomic<size_t> first_failing{to_check.size()};
-    std::vector<std::future<void>> futures;
-    for (size_t begin = 0; begin < to_check.size(); begin += kChunk) {
-      size_t end = std::min(begin + kChunk, to_check.size());
-      futures.push_back(pool->Submit([&, begin, end] {
-        for (size_t c = begin; c < end; ++c) {
-          if (c > first_failing.load(std::memory_order_acquire)) return;
-          if (bc_is_acyclic(to_check[c])) {
-            AtomicMin(&first_failing, c);
-          }
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-    first_acyclic = first_failing.load(std::memory_order_acquire);
-  } else {
+  // The cycles checked now: the memo's misses (keyed by their canonical
+  // TxnId rotation) in check mode, every cycle in batch mode.
+  std::vector<std::vector<TxnId>> cycle_keys;  // check mode only
+  std::vector<size_t> dirty;                   // check mode only
+  if (persist) {
+    cycle_keys.reserve(to_check.size());
     for (size_t c = 0; c < to_check.size(); ++c) {
-      if (bc_is_acyclic(to_check[c])) {
+      std::vector<TxnId> cycle_ids;
+      cycle_ids.reserve(to_check[c].size());
+      for (int v : to_check[c]) {
+        cycle_ids.push_back((*ids)[static_cast<size_t>(v)]);
+      }
+      cycle_keys.push_back(CanonicalCycleKey(cycle_ids));
+      if (memo->cycles.find(cycle_keys.back()) == memo->cycles.end()) {
+        dirty.push_back(c);
+      }
+    }
+  }
+  const size_t num_work = persist ? dirty.size() : to_check.size();
+
+  // The B_c kernel shares one read-only pair-entity table across the
+  // fan-out; each worker's scratch lives in its thread-local arena.
+  std::optional<FlatCycleChecker> checker;
+  if (num_work > 0) checker.emplace(view, pairs);
+  std::vector<char> has_cycle(persist ? num_work : 0, 0);
+  constexpr size_t kCycleChunk = 16;
+  size_t first_acyclic = FanOut(
+      pool, num_work, kCycleChunk, /*early_exit=*/!persist, [&](size_t w) {
+        const bool bc_cyclic =
+            checker->BcHasCycle(to_check[persist ? dirty[w] : w]);
+        if (persist) has_cycle[w] = bc_cyclic ? 1 : 0;
+        return !bc_cyclic;
+      });
+  if (persist) {
+    for (size_t w = 0; w < dirty.size(); ++w) {
+      memo->cycles.emplace(cycle_keys[dirty[w]], has_cycle[w] != 0);
+    }
+    delta.cycles_recomputed = static_cast<int64_t>(dirty.size());
+    delta.cycles_reused =
+        static_cast<int64_t>(to_check.size() - dirty.size());
+    first_acyclic = to_check.size();
+    for (size_t c = 0; c < to_check.size(); ++c) {
+      if (!memo->cycles.at(cycle_keys[c])) {
         first_acyclic = c;
         break;
       }
     }
+    report.delta = delta;
   }
-
   ReduceCycleScan(&to_check, first_acyclic, budget_exhausted, &report);
   return report;
 }

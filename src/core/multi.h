@@ -2,7 +2,6 @@
 #define DISLOCK_CORE_MULTI_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "core/incremental/delta.h"
 #include "core/safety.h"
 #include "graph/digraph.h"
+#include "txn/catalog.h"
 #include "txn/system.h"
 #include "util/status.h"
 
@@ -24,22 +24,6 @@ class EngineContext;
 /// of its cycles can be enumerated.
 Digraph BuildTransactionConflictGraph(const SystemView& view);
 Digraph BuildTransactionConflictGraph(const TransactionSystem& system);
-
-/// Builds the digraph B_ijk for the directed two-path (Ti, Tj, Tk) of G:
-///   * a node x_ij for each entity locked-unlocked by both Ti and Tj, and a
-///     node y_jk for each entity locked-unlocked by both Tj and Tk;
-///   * arcs, all read off the middle transaction Tj:
-///       (x_ij, y_jk)   iff Lx precedes Uy in Tj,
-///       (x_ij, x'_ij)  iff Lx precedes Lx' in Tj,
-///       (y_jk, y'_jk)  iff Uy precedes Uy' in Tj.
-/// Node identity is the pair (unordered transaction pair, entity), so the
-/// union of B_ijk graphs along a cycle glues at shared transaction pairs.
-struct BijkNodeKey {
-  int lo_txn;  ///< min(i, j) of the pair the node belongs to
-  int hi_txn;  ///< max(i, j)
-  EntityId entity;
-  auto operator<=>(const BijkNodeKey&) const = default;
-};
 
 /// Result of the Proposition 2 analysis.
 struct MultiSafetyReport {
@@ -97,36 +81,69 @@ MultiSafetyReport AnalyzeMultiSafety(const TransactionSystem& system,
 
 /// The view-based engine entry point both containers route through: a
 /// TransactionSystem and a CatalogSnapshot analyze identically when their
-/// views agree.
+/// views agree. Equivalent to CheckProposition2(view, ctx).
 MultiSafetyReport AnalyzeMultiSafety(const SystemView& view,
                                      EngineContext* ctx);
 
-/// Builds B_c for a directed cycle (sequence of transaction indices,
-/// traversed cyclically) — exposed for tests and experiments.
-Digraph BuildCycleGraph(const SystemView& view, const std::vector<int>& cycle);
-Digraph BuildCycleGraph(const TransactionSystem& system,
-                        const std::vector<int>& cycle);
+/// The pair and cycle verdicts an incremental engine keeps between checks
+/// (core/incremental/store.h).
+struct VerdictStore;
 
-/// The flat condition-(b) kernel (EngineConfig::use_flat_kernel): decides
-/// HasCycle(BuildCycleGraph(view, cycle)) without materializing a Digraph.
+/// The one Proposition-2 routine: decides conditions (a) and (b) for
+/// `view`. Batch analysis and incremental checks both run it; it branches
+/// on exactly one fact, whether the verdicts persist.
+///
+///  * `memo == nullptr` (batch): every verdict is computed this call.
+///    Early-exit cancellation applies — a failing pair or cycle stops the
+///    scan, and parallel runs skip work the serial scan would not reach —
+///    and tier-1 SAFE hits of ctx->cache() are served without running the
+///    pair procedure. Fresh verdicts are inserted into that cache.
+///  * `memo != nullptr` (incremental check): `ids[i]` is the stable TxnId
+///    of view transaction i. Pairs and cycles missing from `memo` are
+///    decided exhaustively, with no early exit and nothing served from
+///    tier 1, so the memo after the call is a pure function of (previous
+///    memo, view, config). The report's counters are replayed from the memo
+///    exactly as a batch run under a fresh EngineContext would count them,
+///    and report.delta carries the reused/recomputed split. Fresh pair
+///    verdicts are written to the config's tier-2 store, never read from
+///    it.
+///
+/// Spans: multi.pairs/multi.cycles in batch mode, incremental.pairs/
+/// incremental.cycles in check mode.
+MultiSafetyReport CheckProposition2(const SystemView& view,
+                                    EngineContext* ctx,
+                                    VerdictStore* memo = nullptr,
+                                    const std::vector<TxnId>* ids = nullptr);
+
+/// The condition-(b) kernel: decides whether B_c of a directed cycle c of G
+/// has a directed cycle, without materializing a Digraph. B_c is the union
+/// along c of the digraphs B_ijk, one per directed two-path (Ti, Tj, Tk):
+///   * a node x_ij for each entity locked-unlocked by both Ti and Tj, and a
+///     node y_jk for each entity locked-unlocked by both Tj and Tk;
+///   * arcs, all read off the middle transaction Tj:
+///       (x_ij, y_jk)   iff Lx precedes Uy in Tj,
+///       (x_ij, x'_ij)  iff Lx precedes Lx' in Tj,
+///       (y_jk, y'_jk)  iff Uy precedes Uy' in Tj.
+/// Node identity is the pair (unordered transaction pair, entity), so the
+/// B_ijk graphs glue at shared transaction pairs.
+///
 /// The conflicting-pair entity lists are computed once at construction and
 /// shared read-only across a pool fan-out; each BcHasCycle call generates
 /// B_c's arcs straight into thread-local arena arrays with dense remapped
-/// node ids and runs the CSR Kahn kernel. Used by both the batch analysis
-/// and the incremental engine; `view` must outlive the checker.
+/// node ids and runs the CSR Kahn kernel. `view` must outlive the checker.
 class FlatCycleChecker {
  public:
-  /// `pairs` are the conflicting pairs of G (ConflictingPairs order); every
+  /// `pairs` are the conflicting pairs of G (in scan order); every
   /// consecutive transaction pair of a checked cycle must appear in it.
   FlatCycleChecker(const SystemView& view,
                    const std::vector<std::pair<int, int>>& pairs);
 
-  /// True iff B_c of the directed cycle has a directed cycle — the same
-  /// verdict as HasCycle(BuildCycleGraph(view, cycle)).
+  /// True iff B_c of the directed cycle (transaction indices, traversed
+  /// cyclically) has a directed cycle.
   bool BcHasCycle(const std::vector<int>& cycle) const;
 
  private:
-  /// Unordered-pair key, matching the BijkNodeKey canonicalization.
+  /// Unordered-pair key: a node's pair is {min(i, j), max(i, j)}.
   static int64_t Key(int a, int b) {
     const int lo = a < b ? a : b;
     const int hi = a < b ? b : a;
@@ -137,52 +154,6 @@ class FlatCycleChecker {
   std::unordered_map<int64_t, int> index_;
   std::vector<std::vector<EntityId>> common_;
 };
-
-// ---------------------------------------------------------------------------
-// Deterministic-replay plumbing, shared between the batch path above and the
-// delta path (core/incremental/engine.h). The batch analysis is the special
-// case where every verdict was computed this call; the incremental engine
-// feeds the same reducers verdicts pulled from its stores.
-// ---------------------------------------------------------------------------
-
-/// The conflicting pairs (i < j) of G in the lexicographic scan order of
-/// the classic serial loop — the order every reduction replays.
-std::vector<std::pair<int, int>> ConflictingPairs(const Digraph& g);
-
-/// One conflicting pair in scan order, with its resolved verdict source.
-struct ScanPair {
-  std::pair<int, int> txns;  ///< dense indices, first < second
-  /// Fingerprint group of the pair (every pair its own group when no
-  /// verdict cache is configured). Groups are numbered by first appearance
-  /// in scan order.
-  int group = 0;
-  /// The group representative's report. Consulted only at the group's
-  /// first scan appearance; may be null for pairs the serial scan never
-  /// reaches (early-exit cancellation skipped them).
-  const PairSafetyReport* report = nullptr;
-  /// The whole group was pre-decided SAFE by an external verdict cache.
-  bool cached_safe = false;
-};
-
-/// Replays the serial memoized scan over resolved pair verdicts: counts
-/// pairs_checked / pairs_cached, aggregates pipeline statistics, and stops
-/// at the lexicographically-first non-safe group. On failure fills
-/// verdict / failing_pair / pair_report and returns the failing scan
-/// index. `on_checked` fires once per counted group, in scan order (the
-/// batch path inserts the verdict into the cache there).
-std::optional<size_t> ReplayPairScan(
-    const std::vector<ScanPair>& scan, int num_groups,
-    const std::function<void(const ScanPair&)>& on_checked,
-    MultiSafetyReport* report);
-
-/// Reduces condition (b): given the filtered directed cycles in enumeration
-/// order and the index of the first cycle whose B_c is acyclic (or
-/// to_check->size() if none), fills cycles_checked / verdict /
-/// failing_cycle / cycle_budget_exhausted exactly like the serial loop.
-/// Consumes `to_check` (the failing cycle is moved out).
-void ReduceCycleScan(std::vector<std::vector<int>>* to_check,
-                     size_t first_acyclic, bool budget_exhausted,
-                     MultiSafetyReport* report);
 
 }  // namespace dislock
 

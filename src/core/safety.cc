@@ -1,5 +1,6 @@
 #include "core/safety.h"
 
+#include "core/closure.h"
 #include "core/decision/context.h"
 #include "core/decision/pipeline.h"
 #include "graph/dominator.h"
@@ -49,8 +50,7 @@ bool Theorem1Sufficient(const Transaction& t1, const Transaction& t2) {
 }
 
 Result<PairSafetyReport> TwoSiteSafetyTest(const Transaction& t1,
-                                           const Transaction& t2,
-                                           bool use_flat_kernel) {
+                                           const Transaction& t2) {
   PairSafetyReport report;
   report.sites_spanned = SitesSpanned(t1, t2);
   if (report.sites_spanned > 2) {
@@ -59,24 +59,24 @@ Result<PairSafetyReport> TwoSiteSafetyTest(const Transaction& t1,
                report.sites_spanned));
   }
   report.d = BuildConflictGraph(t1, t2);
-  report.d_strongly_connected = use_flat_kernel
-                                    ? IsStronglyConnectedFlat(report.d.graph)
-                                    : IsStronglyConnected(report.d.graph);
+  report.d_strongly_connected = IsStronglyConnected(report.d.graph);
   if (report.d_strongly_connected) {
     report.verdict = SafetyVerdict::kSafe;
     report.method = DecisionMethod::kTheorem2;
     report.detail = "D(T1,T2) is strongly connected";
     return report;
   }
-  auto dom = use_flat_kernel ? FindDominatorFlat(report.d.graph)
-                             : FindDominator(report.d.graph);
+  auto dom = FindDominator(report.d.graph);
   if (!dom.ok()) {
     return Status::Internal(
         "non-strongly-connected D has no dominator: " +
         dom.status().ToString());
   }
-  auto cert = BuildUnsafetyCertificate(t1, t2,
-                                       report.d.EntitiesOf(dom.value()));
+  const std::vector<EntityId> x = report.d.EntitiesOf(dom.value());
+  Result<ClosureResult> closed = CloseWithRespectTo(t1, t2, x);
+  Result<UnsafetyCertificate> cert =
+      closed.ok() ? BuildUnsafetyCertificate(t1, t2, x, closed.value())
+                  : Result<UnsafetyCertificate>(closed.status());
   if (!cert.ok()) {
     return Status::Internal(
         "Theorem 2 certificate construction failed on a two-site pair: " +

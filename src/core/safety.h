@@ -60,12 +60,8 @@ bool Theorem1Sufficient(const Transaction& t1, const Transaction& t2);
 /// {T1, T2} spanning at most two sites is safe iff D(T1, T2) is strongly
 /// connected; when unsafe a certificate is constructed. O(n^2).
 /// Returns InvalidArgument if the pair spans more than two sites.
-/// `use_flat_kernel` picks the CSR-based SCC/dominator kernels (default,
-/// EngineConfig::use_flat_kernel) or the legacy ones; verdicts and reports
-/// are identical either way.
 Result<PairSafetyReport> TwoSiteSafetyTest(const Transaction& t1,
-                                           const Transaction& t2,
-                                           bool use_flat_kernel = true);
+                                           const Transaction& t2);
 
 /// The general pair analyzer: runs the default DecisionPipeline
 /// (core/decision/pipeline.h) — Theorem1Scc, Theorem2TwoSite,

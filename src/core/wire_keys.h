@@ -137,17 +137,6 @@ inline constexpr char kDescription[] = "description";
 inline constexpr char kCost[] = "cost";
 inline constexpr char kRepairedSystem[] = "repaired_system";
 
-// ---- Serve protocol keys (dislock_serve, docs/serve.md) -------------------
-// The serve wire protocol is the session JSON-lines protocol verbatim; these
-// keys are the additions: the queue/client fields of the load-driver
-// summary. Pinned by wire_format_test.
-inline constexpr char kClientId[] = "client";
-inline constexpr char kClients[] = "clients";
-inline constexpr char kQueueDepth[] = "queue_depth";
-inline constexpr char kQueuePeak[] = "queue_peak";
-inline constexpr char kCommands[] = "commands";
-inline constexpr char kResponses[] = "responses";
-
 // ---- Verdict-store keys (two-tier cache, docs/caching.md) -----------------
 // The `cache` block of the session/serve `stats` response — present only
 // when a persistent store is attached — and the matching dotted metric

@@ -72,9 +72,9 @@ CsrGraph BuildCsrFromArcs(int num_nodes, const NodeId* tails,
 
 namespace {
 
-/// Iterative Tarjan over CSR arrays. Mirrors graph/scc.cc frame for frame
-/// (roots in ascending id, adjacency in CSR order == Digraph order), so the
-/// component numbering is identical to the legacy implementation. When
+/// Iterative Tarjan over CSR arrays: roots in ascending id, adjacency in
+/// CSR order == Digraph order, so the component numbering is the classic
+/// recursive Tarjan's (tests/reference_kernels.h pins it). When
 /// `min_node > 0`, the traversal is restricted to the subgraph induced by
 /// nodes >= min_node with self-arcs dropped (Johnson's per-start subgraph);
 /// excluded nodes become singleton components.
@@ -120,9 +120,9 @@ FlatScc TarjanOnCsr(const CsrGraph& g, NodeId min_node, Arena* arena) {
       bool descended = false;
       while (frame.arc < arc_end) {
         NodeId w = g.targets[frame.arc++];
-        // Self-arcs are skipped in both modes: in legacy Tarjan they only
-        // produce lowlink[v] = min(lowlink[v], index[v]), a no-op, so the
-        // component numbering is unaffected.
+        // Self-arcs are skipped in both modes: in Tarjan they only produce
+        // lowlink[v] = min(lowlink[v], index[v]), a no-op, so the component
+        // numbering is unaffected.
         if (w < min_node || w == v) continue;
         if (index[w] == -1) {
           index[w] = lowlink[w] = next_index++;

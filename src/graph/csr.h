@@ -51,9 +51,9 @@ CsrGraph BuildCsrFromArcs(int num_nodes, const NodeId* tails,
 
 /// Strongly connected components on CSR: iterative Tarjan over flat arrays
 /// (explicit frame stack, no recursion, no per-node std::vector). The
-/// component numbering is byte-identical to
-/// graph/scc.h::StronglyConnectedComponents — reverse topological order of
-/// the condensation — because the traversal order is identical.
+/// components are numbered in reverse topological order of the
+/// condensation (Tarjan's order, roots in ascending id): if an arc leads
+/// from component a to component b != a, then a > b.
 struct FlatScc {
   int num_components = 0;
   /// component[v] = SCC index of v; arena-owned, size num_nodes.
@@ -91,8 +91,8 @@ CsrGraph CondensationInArcsOnCsr(const CsrGraph& g, const FlatScc& scc,
 /// Reflexive-transitive closure of `g` as flat bitset rows: row u is
 /// rows[u * bits::WordsForBits(n)], one bit per node. Works on any digraph
 /// (cyclic included) by closing over the condensation in reverse
-/// topological order with word-parallel ORs — the flat replacement for
-/// graph/reachability.cc's per-query BFS fallback. `rows` must hold
+/// topological order with word-parallel ORs, with no per-query BFS.
+/// `rows` must hold
 /// n * WordsForBits(n) words and be ZERO-INITIALIZED by the caller; the
 /// function only ever ORs bits in (both call sites allocate zeroed
 /// storage, so requiring it avoids a second zeroing pass here).

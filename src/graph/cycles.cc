@@ -1,125 +1,24 @@
 #include "graph/cycles.h"
 
-#include <algorithm>
 #include <cstring>
-#include <set>
 
 #include "graph/csr.h"
-#include "graph/scc.h"
-#include "graph/topological.h"
 #include "util/arena.h"
 
 namespace dislock {
 
-bool HasCycle(const Digraph& g) {
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    if (g.HasArc(u, u)) return true;
-  }
-  return !IsAcyclic(g);
-}
-
 namespace {
-
-/// State for Johnson's simple-cycle enumeration, restricted to the subgraph
-/// induced by nodes >= start_ within one SCC.
-class JohnsonState {
- public:
-  JohnsonState(const Digraph& g, int64_t max_cycles,
-               std::vector<std::vector<NodeId>>* out)
-      : g_(g), max_cycles_(max_cycles), out_(out) {
-    const int n = g.NumNodes();
-    blocked_.assign(n, false);
-    block_map_.assign(n, {});
-    in_scope_.assign(n, false);
-  }
-
-  void Run() {
-    const int n = g_.NumNodes();
-    // Self-loops are simple cycles too; Johnson's classic formulation skips
-    // them, so emit them up front.
-    for (NodeId u = 0; u < n && !Full(); ++u) {
-      if (g_.HasArc(u, u)) out_->push_back({u});
-    }
-    for (start_ = 0; start_ < n && !Full(); ++start_) {
-      // Restrict to the SCC of start_ within nodes >= start_.
-      Digraph sub(n);
-      for (NodeId u = start_; u < n; ++u) {
-        for (NodeId v : g_.OutNeighbors(u)) {
-          if (v >= start_ && v != u) sub.AddArc(u, v);
-        }
-      }
-      SccResult scc = StronglyConnectedComponents(sub);
-      int comp = scc.component[start_];
-      for (NodeId u = 0; u < n; ++u) {
-        in_scope_[u] = u >= start_ && scc.component[u] == comp;
-        blocked_[u] = false;
-        block_map_[u].clear();
-      }
-      if (scc.members[comp].size() < 2) continue;
-      Circuit(start_);
-    }
-  }
-
- private:
-  bool Full() const {
-    return static_cast<int64_t>(out_->size()) >= max_cycles_;
-  }
-
-  void Unblock(NodeId u) {
-    blocked_[u] = false;
-    for (NodeId w : block_map_[u]) {
-      if (blocked_[w]) Unblock(w);
-    }
-    block_map_[u].clear();
-  }
-
-  bool Circuit(NodeId v) {
-    bool found = false;
-    path_.push_back(v);
-    blocked_[v] = true;
-    for (NodeId w : g_.OutNeighbors(v)) {
-      if (!in_scope_[w] || w == v) continue;
-      if (Full()) break;
-      if (w == start_) {
-        out_->push_back(path_);
-        found = true;
-      } else if (!blocked_[w]) {
-        if (Circuit(w)) found = true;
-      }
-    }
-    if (found) {
-      Unblock(v);
-    } else {
-      for (NodeId w : g_.OutNeighbors(v)) {
-        if (!in_scope_[w] || w == v) continue;
-        auto& bm = block_map_[w];
-        if (std::find(bm.begin(), bm.end(), v) == bm.end()) bm.push_back(v);
-      }
-    }
-    path_.pop_back();
-    return found;
-  }
-
-  const Digraph& g_;
-  int64_t max_cycles_;
-  std::vector<std::vector<NodeId>>* out_;
-  NodeId start_ = 0;
-  std::vector<bool> blocked_;
-  std::vector<bool> in_scope_;
-  std::vector<std::vector<NodeId>> block_map_;
-  std::vector<NodeId> path_;
-};
 
 /// Johnson's enumeration on a CsrGraph: the graph is lowered once, the
 /// per-start SCC restriction runs as a masked Tarjan on the same CSR (no
 /// sub-Digraph materialization), and block maps are intrusive linked lists
-/// over one growable pool. The Circuit recursion walks CSR rows in the same
-/// order JohnsonState walks Digraph adjacency, so the emitted cycle
-/// sequence is byte-identical.
-class FlatJohnsonState {
+/// over one growable pool. The Circuit recursion walks CSR rows in Digraph
+/// adjacency order, so the emitted cycle sequence is a function of the
+/// graph's arc order alone.
+class JohnsonOnCsr {
  public:
-  FlatJohnsonState(CsrGraph g, int64_t max_cycles,
-                   std::vector<std::vector<NodeId>>* out, Arena* arena)
+  JohnsonOnCsr(CsrGraph g, int64_t max_cycles,
+               std::vector<std::vector<NodeId>>* out, Arena* arena)
       : g_(g), max_cycles_(max_cycles), out_(out), arena_(arena) {
     const size_t n = static_cast<size_t>(g.num_nodes);
     blocked_ = arena->AllocateZeroed<uint8_t>(n);
@@ -225,28 +124,19 @@ class FlatJohnsonState {
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> SimpleCycles(const Digraph& g,
-                                              int64_t max_cycles) {
-  std::vector<std::vector<NodeId>> cycles;
-  if (max_cycles <= 0) return cycles;
-  JohnsonState state(g, max_cycles, &cycles);
-  state.Run();
-  return cycles;
-}
-
-bool HasCycleFlat(const Digraph& g) {
+bool HasCycle(const Digraph& g) {
   Arena* arena = ScratchArena();
   ArenaScope scope(arena);
   return HasCycleOnCsr(BuildCsr(g, arena), arena);
 }
 
-std::vector<std::vector<NodeId>> SimpleCyclesFlat(const Digraph& g,
-                                                  int64_t max_cycles) {
+std::vector<std::vector<NodeId>> SimpleCycles(const Digraph& g,
+                                              int64_t max_cycles) {
   std::vector<std::vector<NodeId>> cycles;
   if (max_cycles <= 0) return cycles;
   Arena* arena = ScratchArena();
   ArenaScope scope(arena);
-  FlatJohnsonState state(BuildCsr(g, arena), max_cycles, &cycles, arena);
+  JohnsonOnCsr state(BuildCsr(g, arena), max_cycles, &cycles, arena);
   state.Run();
   return cycles;
 }

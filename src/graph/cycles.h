@@ -8,10 +8,12 @@
 
 namespace dislock {
 
-/// True iff `g` contains a directed cycle (self-loops count).
+/// True iff `g` contains a directed cycle (self-loops count). Kahn peeling
+/// on a CSR lowering of `g`.
 bool HasCycle(const Digraph& g);
 
-/// Enumerates the simple directed cycles of `g` (Johnson's algorithm),
+/// Enumerates the simple directed cycles of `g` (Johnson's algorithm on one
+/// CSR lowering of `g`, with a masked arena-backed Tarjan per start node),
 /// stopping after `max_cycles`. Each cycle is reported as its node sequence
 /// (without repeating the first node at the end), starting at its smallest
 /// node id.
@@ -21,17 +23,6 @@ bool HasCycle(const Digraph& g);
 /// simple cycles can be exponential; callers must bound `max_cycles`.
 std::vector<std::vector<NodeId>> SimpleCycles(const Digraph& g,
                                               int64_t max_cycles);
-
-/// Flat-kernel variants (graph/csr.h): one CSR lowering for the whole
-/// enumeration, masked arena-backed Tarjan for Johnson's per-start subgraph
-/// instead of materializing a sub-Digraph, and linked-list block maps in
-/// place of per-node vectors. Cycle sequences are byte-identical to the
-/// legacy functions above (same adjacency order, same recursion); selected
-/// via EngineConfig::use_flat_kernel.
-bool HasCycleFlat(const Digraph& g);
-
-std::vector<std::vector<NodeId>> SimpleCyclesFlat(const Digraph& g,
-                                                  int64_t max_cycles);
 
 }  // namespace dislock
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/csr.h"
-#include "graph/scc.h"
 #include "util/arena.h"
 
 namespace dislock {
@@ -31,91 +30,6 @@ Result<std::vector<NodeId>> FindDominator(const Digraph& g) {
   if (g.NumNodes() < 2) {
     return Status::NotFound("graph has < 2 nodes; no dominator");
   }
-  SccResult scc = StronglyConnectedComponents(g);
-  if (scc.num_components == 1) {
-    return Status::NotFound("graph is strongly connected; no dominator");
-  }
-  Digraph cond = Condensation(g, scc);
-  for (int c = 0; c < scc.num_components; ++c) {
-    if (cond.InNeighbors(c).empty()) {
-      std::vector<NodeId> x = scc.members[c];
-      std::sort(x.begin(), x.end());
-      return x;
-    }
-  }
-  return Status::Internal("condensation DAG has no source component");
-}
-
-namespace {
-
-/// Recursively enumerates predecessor-closed SCC subsets. Components are
-/// processed in topological order of the condensation so that a component's
-/// predecessors are decided before it.
-void EnumerateClosedSets(const Digraph& cond,
-                         const std::vector<int>& topo_order,
-                         const SccResult& scc, size_t pos,
-                         std::vector<bool>* chosen, int num_chosen,
-                         int64_t max_count,
-                         std::vector<std::vector<NodeId>>* out) {
-  if (static_cast<int64_t>(out->size()) >= max_count) return;
-  if (pos == topo_order.size()) {
-    if (num_chosen == 0 || num_chosen == static_cast<int>(topo_order.size())) {
-      return;  // must be nonempty and proper
-    }
-    std::vector<NodeId> x;
-    for (int c = 0; c < static_cast<int>(chosen->size()); ++c) {
-      if ((*chosen)[c]) {
-        x.insert(x.end(), scc.members[c].begin(), scc.members[c].end());
-      }
-    }
-    std::sort(x.begin(), x.end());
-    out->push_back(std::move(x));
-    return;
-  }
-  int c = topo_order[pos];
-  // Option 1: exclude c.
-  EnumerateClosedSets(cond, topo_order, scc, pos + 1, chosen, num_chosen,
-                      max_count, out);
-  // Option 2: include c, allowed only if every predecessor is included.
-  bool can_include = true;
-  for (NodeId p : cond.InNeighbors(c)) {
-    if (!(*chosen)[p]) {
-      can_include = false;
-      break;
-    }
-  }
-  if (can_include) {
-    (*chosen)[c] = true;
-    EnumerateClosedSets(cond, topo_order, scc, pos + 1, chosen, num_chosen + 1,
-                        max_count, out);
-    (*chosen)[c] = false;
-  }
-}
-
-}  // namespace
-
-std::vector<std::vector<NodeId>> AllDominators(const Digraph& g,
-                                               int64_t max_count) {
-  std::vector<std::vector<NodeId>> out;
-  if (g.NumNodes() < 2 || max_count <= 0) return out;
-  SccResult scc = StronglyConnectedComponents(g);
-  if (scc.num_components == 1) return out;
-  Digraph cond = Condensation(g, scc);
-  // Tarjan numbers components in reverse topological order: arcs go from
-  // higher ids to lower ids. Topological order = descending component id.
-  std::vector<int> topo_order(scc.num_components);
-  for (int i = 0; i < scc.num_components; ++i) {
-    topo_order[i] = scc.num_components - 1 - i;
-  }
-  std::vector<bool> chosen(scc.num_components, false);
-  EnumerateClosedSets(cond, topo_order, scc, 0, &chosen, 0, max_count, &out);
-  return out;
-}
-
-Result<std::vector<NodeId>> FindDominatorFlat(const Digraph& g) {
-  if (g.NumNodes() < 2) {
-    return Status::NotFound("graph has < 2 nodes; no dominator");
-  }
   Arena* arena = ScratchArena();
   ArenaScope scope(arena);
   CsrGraph csr = BuildCsr(g, arena);
@@ -128,8 +42,8 @@ Result<std::vector<NodeId>> FindDominatorFlat(const Digraph& g) {
   for (int32_t c = 0; c < scc.num_components; ++c) {
     if (cond_in.OutDegree(c) == 0) {  // cond_in stores IN-neighbors: a
                                       // component with none is a source
-      // Members come back in ascending node id from the counting sort —
-      // already the sorted order the legacy path produces.
+      // Members come back in ascending node id from the counting sort, so
+      // the dominator is already sorted.
       return std::vector<NodeId>(members.nodes + members.offsets[c],
                                  members.nodes + members.offsets[c + 1]);
     }
@@ -139,11 +53,12 @@ Result<std::vector<NodeId>> FindDominatorFlat(const Digraph& g) {
 
 namespace {
 
-/// Flat mirror of EnumerateClosedSets: identical recursion (exclude first,
-/// then include if every predecessor is chosen; components visited in
-/// descending id = topological order), so the emitted dominator sequence is
-/// byte-identical to the legacy enumeration.
-struct FlatEnumCtx {
+/// Enumerates predecessor-closed component subsets: components are visited
+/// in descending id (= topological order of the condensation, so a
+/// component's predecessors are decided before it), and each is first
+/// excluded, then included if every predecessor is chosen. The emitted
+/// dominator sequence is therefore a function of the component numbering.
+struct EnumCtx {
   const CsrGraph* cond_in;  ///< condensation IN-adjacency
   FlatSccMembers members;
   int num_components;
@@ -152,7 +67,7 @@ struct FlatEnumCtx {
   std::vector<std::vector<NodeId>>* out;
 };
 
-void EnumerateClosedSetsFlat(FlatEnumCtx& ctx, int pos, int num_chosen) {
+void EnumerateDownSets(EnumCtx& ctx, int pos, int num_chosen) {
   if (static_cast<int64_t>(ctx.out->size()) >= ctx.max_count) return;
   const int kC = ctx.num_components;
   if (pos == kC) {
@@ -169,7 +84,7 @@ void EnumerateClosedSetsFlat(FlatEnumCtx& ctx, int pos, int num_chosen) {
     return;
   }
   const int c = kC - 1 - pos;  // descending id = topological order
-  EnumerateClosedSetsFlat(ctx, pos + 1, num_chosen);
+  EnumerateDownSets(ctx, pos + 1, num_chosen);
   bool can_include = true;
   for (const NodeId* p = ctx.cond_in->begin(c); p != ctx.cond_in->end(c);
        ++p) {
@@ -180,14 +95,14 @@ void EnumerateClosedSetsFlat(FlatEnumCtx& ctx, int pos, int num_chosen) {
   }
   if (can_include) {
     ctx.chosen[c] = 1;
-    EnumerateClosedSetsFlat(ctx, pos + 1, num_chosen + 1);
+    EnumerateDownSets(ctx, pos + 1, num_chosen + 1);
     ctx.chosen[c] = 0;
   }
 }
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> AllDominatorsFlat(const Digraph& g,
+std::vector<std::vector<NodeId>> AllDominators(const Digraph& g,
                                                    int64_t max_count) {
   std::vector<std::vector<NodeId>> out;
   if (g.NumNodes() < 2 || max_count <= 0) return out;
@@ -196,7 +111,7 @@ std::vector<std::vector<NodeId>> AllDominatorsFlat(const Digraph& g,
   CsrGraph csr = BuildCsr(g, arena);
   FlatScc scc = SccOnCsr(csr, arena);
   if (scc.num_components == 1) return out;
-  FlatEnumCtx ctx;
+  EnumCtx ctx;
   CsrGraph cond_in = CondensationInArcsOnCsr(csr, scc, arena);
   ctx.cond_in = &cond_in;
   ctx.members = GroupSccMembers(scc, g.NumNodes(), arena);
@@ -205,7 +120,7 @@ std::vector<std::vector<NodeId>> AllDominatorsFlat(const Digraph& g,
       arena->AllocateZeroed<uint8_t>(static_cast<size_t>(scc.num_components));
   ctx.max_count = max_count;
   ctx.out = &out;
-  EnumerateClosedSetsFlat(ctx, 0, 0);
+  EnumerateDownSets(ctx, 0, 0);
   return out;
 }
 

@@ -20,31 +20,23 @@ namespace dislock {
 /// True iff `candidate` (a set of node ids) is a dominator of `g`.
 bool IsDominator(const Digraph& g, const std::vector<NodeId>& candidate);
 
-/// Returns a minimal dominator (the members of one source SCC of the
-/// condensation), or NotFound if `g` is strongly connected (or has < 2
-/// nodes, in which case no proper nonempty subset qualifies as interesting).
+/// Returns a minimal dominator (the members of the lowest-numbered source
+/// SCC of the condensation, sorted), or NotFound if `g` is strongly
+/// connected (or has < 2 nodes, in which case no proper nonempty subset
+/// qualifies as interesting).
 Result<std::vector<NodeId>> FindDominator(const Digraph& g);
 
 /// Enumerates all dominators of `g`, up to `max_count`. Dominators are
 /// in bijection with the nonempty proper predecessor-closed unions of SCCs
 /// (down-sets of the reversed condensation DAG); there can be exponentially
 /// many, so callers must bound `max_count`. Each dominator is returned as a
-/// sorted vector of node ids.
+/// sorted vector of node ids. Both functions run on a CSR lowering of `g`
+/// (graph/csr.h) with arena scratch.
 ///
 /// Used by the Theorem 3 machinery, where dominators of D(T1(F), T2(F))
 /// encode truth assignments (Fig. 8 of the paper).
 std::vector<std::vector<NodeId>> AllDominators(const Digraph& g,
                                                int64_t max_count);
-
-/// Flat-kernel variants (graph/csr.h: CSR + iterative Tarjan + arena
-/// scratch, no per-node vectors or std::set). Byte-identical results to
-/// their legacy counterparts above — same component numbering, same
-/// enumeration order, same Status messages — verified by the differential
-/// property tests. Selected via EngineConfig::use_flat_kernel.
-Result<std::vector<NodeId>> FindDominatorFlat(const Digraph& g);
-
-std::vector<std::vector<NodeId>> AllDominatorsFlat(const Digraph& g,
-                                                   int64_t max_count);
 
 }  // namespace dislock
 

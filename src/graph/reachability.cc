@@ -1,61 +1,19 @@
 #include "graph/reachability.h"
 
-#include <deque>
-
 #include "graph/csr.h"
-#include "graph/topological.h"
 #include "util/arena.h"
 
 namespace dislock {
 
-Reachability::Reachability(const Digraph& g, Impl impl) {
+Reachability::Reachability(const Digraph& g) {
   const int n = g.NumNodes();
   num_nodes_ = n;
   words_per_row_ = bits::WordsForBits(static_cast<size_t>(n));
   words_.assign(static_cast<size_t>(n) * words_per_row_, 0);
   if (n == 0) return;
-
-  if (impl == Impl::kFlat) {
-    Arena* arena = ScratchArena();
-    ArenaScope scope(arena);
-    CsrGraph csr = BuildCsr(g, arena);
-    ReachabilityWordsOnCsr(csr, words_.data(), arena);
-    return;
-  }
-
-  // Legacy reference implementation (pre-flat-kernel semantics, flat
-  // storage): reflexive bits, then a reverse topological sweep on DAGs or a
-  // per-node BFS fallback on cyclic graphs.
-  auto row = [&](NodeId u) {
-    return words_.data() + static_cast<size_t>(u) * words_per_row_;
-  };
-  for (NodeId u = 0; u < n; ++u) bits::SetBit(row(u), static_cast<size_t>(u));
-
-  auto topo = TopologicalSort(g);
-  if (topo.ok()) {
-    const auto& order = topo.value();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      NodeId u = *it;
-      for (NodeId v : g.OutNeighbors(u)) {
-        bits::OrWords(row(u), row(v), words_per_row_);
-      }
-    }
-    return;
-  }
-
-  for (NodeId s = 0; s < n; ++s) {
-    std::deque<NodeId> queue{s};
-    while (!queue.empty()) {
-      NodeId u = queue.front();
-      queue.pop_front();
-      for (NodeId v : g.OutNeighbors(u)) {
-        if (!bits::TestBit(row(s), static_cast<size_t>(v))) {
-          bits::SetBit(row(s), static_cast<size_t>(v));
-          queue.push_back(v);
-        }
-      }
-    }
-  }
+  Arena* arena = ScratchArena();
+  ArenaScope scope(arena);
+  ReachabilityWordsOnCsr(BuildCsr(g, arena), words_.data(), arena);
 }
 
 }  // namespace dislock

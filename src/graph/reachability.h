@@ -14,21 +14,13 @@ namespace dislock {
 /// Transactions are partial orders given as DAGs; "Lx precedes Uy in T"
 /// (Definition 1, Lemmas 2-3) is a reachability query on the transaction's
 /// step DAG. The closure is stored as one flat bitset row per node in a
-/// single contiguous buffer.
-///
-/// Two construction algorithms produce identical rows:
-///  - kFlat (default): CSR lowering + SCC condensation closed with
-///    word-parallel ORs in reverse topological order (graph/csr.h). One
-///    pass, cyclic graphs included, no per-query BFS.
-///  - kLegacy: the pre-flat-kernel reference — reverse-topological sweep on
-///    DAGs with a per-node BFS fallback on cyclic graphs. Kept for the
-///    differential property tests.
+/// single contiguous buffer, built by a CSR lowering whose SCC condensation
+/// is closed with word-parallel ORs in reverse topological order
+/// (graph/csr.h): one pass, cyclic graphs included, no per-query BFS.
 class Reachability {
  public:
-  enum class Impl { kFlat, kLegacy };
-
   /// Builds the closure of `g`.
-  explicit Reachability(const Digraph& g, Impl impl = Impl::kFlat);
+  explicit Reachability(const Digraph& g);
 
   /// True iff there is a directed path from u to v (including u == v).
   bool Reaches(NodeId u, NodeId v) const {

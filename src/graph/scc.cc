@@ -1,103 +1,15 @@
 #include "graph/scc.h"
 
-#include <algorithm>
-#include <set>
-
 #include "graph/csr.h"
 #include "util/arena.h"
 
 namespace dislock {
 
-SccResult StronglyConnectedComponents(const Digraph& g) {
-  const int n = g.NumNodes();
-  SccResult result;
-  result.component.assign(n, -1);
-
-  std::vector<int> index(n, -1);
-  std::vector<int> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> stack;
-  int next_index = 0;
-
-  // Iterative Tarjan. Each frame tracks the node and the position in its
-  // adjacency list.
-  struct Frame {
-    NodeId v;
-    size_t child;
-  };
-  std::vector<Frame> call_stack;
-
-  for (NodeId root = 0; root < n; ++root) {
-    if (index[root] != -1) continue;
-    call_stack.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      NodeId v = frame.v;
-      const auto& adj = g.OutNeighbors(v);
-      if (frame.child < adj.size()) {
-        NodeId w = adj[frame.child++];
-        if (index[w] == -1) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          call_stack.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      } else {
-        if (lowlink[v] == index[v]) {
-          result.members.emplace_back();
-          auto& comp = result.members.back();
-          NodeId w;
-          do {
-            w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            result.component[w] = result.num_components;
-            comp.push_back(w);
-          } while (w != v);
-          ++result.num_components;
-        }
-        call_stack.pop_back();
-        if (!call_stack.empty()) {
-          NodeId parent = call_stack.back().v;
-          lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-        }
-      }
-    }
-  }
-  return result;
-}
-
 bool IsStronglyConnected(const Digraph& g) {
-  if (g.NumNodes() <= 1) return true;
-  return StronglyConnectedComponents(g).num_components == 1;
-}
-
-bool IsStronglyConnectedFlat(const Digraph& g) {
   if (g.NumNodes() <= 1) return true;
   Arena* arena = ScratchArena();
   ArenaScope scope(arena);
   return StronglyConnectedOnCsr(BuildCsr(g, arena), arena);
-}
-
-Digraph Condensation(const Digraph& g, const SccResult& scc) {
-  Digraph cond(scc.num_components);
-  std::set<std::pair<int, int>> seen;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (NodeId v : g.OutNeighbors(u)) {
-      int cu = scc.component[u];
-      int cv = scc.component[v];
-      if (cu != cv && seen.insert({cu, cv}).second) {
-        cond.AddArc(cu, cv);
-      }
-    }
-  }
-  return cond;
 }
 
 }  // namespace dislock

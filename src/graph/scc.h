@@ -1,43 +1,16 @@
 #ifndef DISLOCK_GRAPH_SCC_H_
 #define DISLOCK_GRAPH_SCC_H_
 
-#include <vector>
-
 #include "graph/digraph.h"
 
 namespace dislock {
 
-/// The strongly connected components of a digraph, plus its condensation.
-struct SccResult {
-  /// component[v] = index of v's SCC. Components are numbered in reverse
-  /// topological order of the condensation (Tarjan's order): if there is an
-  /// arc from SCC a to SCC b (a != b) in the condensation then
-  /// component id of a > component id of b.
-  std::vector<int> component;
-  /// Number of SCCs.
-  int num_components = 0;
-  /// members[c] = nodes of SCC c.
-  std::vector<std::vector<NodeId>> members;
-};
-
-/// Computes SCCs with Tarjan's algorithm (iterative; no recursion depth
-/// limits on large transaction graphs).
-SccResult StronglyConnectedComponents(const Digraph& g);
-
 /// True iff `g` is strongly connected. By convention graphs with 0 or 1
 /// nodes are strongly connected (this matches the safety semantics of
 /// Theorem 1: with fewer than two commonly locked entities there is nothing
-/// to separate).
+/// to separate). Lowers to CSR and runs the iterative arena-backed Tarjan
+/// of graph/csr.h.
 bool IsStronglyConnected(const Digraph& g);
-
-/// Builds the condensation of `g` from an SccResult: one node per SCC,
-/// deduplicated arcs between distinct SCCs.
-Digraph Condensation(const Digraph& g, const SccResult& scc);
-
-/// Flat-kernel variant of IsStronglyConnected: lowers to CSR and runs the
-/// iterative arena-backed Tarjan of graph/csr.h. Identical verdicts to
-/// IsStronglyConnected; selected via EngineConfig::use_flat_kernel.
-bool IsStronglyConnectedFlat(const Digraph& g);
 
 }  // namespace dislock
 

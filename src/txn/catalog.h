@@ -43,6 +43,8 @@ class CatalogSnapshot {
     return txns_[static_cast<size_t>(i)];
   }
   TxnId id(int i) const { return ids_[static_cast<size_t>(i)]; }
+  /// id(i) for every dense index i.
+  const std::vector<TxnId>& ids() const { return ids_; }
   const DistributedDatabase& db() const { return *db_; }
 
   /// A borrowed dense view for the analysis entry points; valid while this

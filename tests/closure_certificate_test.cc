@@ -12,12 +12,25 @@
 #include "core/paper.h"
 #include "graph/dominator.h"
 #include "graph/scc.h"
+#include "reference_kernels.h"
 #include "txn/builder.h"
 #include "txn/linear_extension.h"
 #include "util/string_util.h"
 
 namespace dislock {
 namespace {
+
+/// The Theorem 2 construction from the first dominator X of D(T1, T2):
+/// close {T1, T2} with respect to X, then build the certificate.
+Result<UnsafetyCertificate> CertifyFirstDominator(const Transaction& t1,
+                                                  const Transaction& t2) {
+  ConflictGraph d = BuildConflictGraph(t1, t2);
+  DISLOCK_ASSIGN_OR_RETURN(std::vector<NodeId> dom, FindDominator(d.graph));
+  const std::vector<EntityId> x = d.EntitiesOf(dom);
+  DISLOCK_ASSIGN_OR_RETURN(ClosureResult closed,
+                           CloseWithRespectTo(t1, t2, x));
+  return BuildUnsafetyCertificate(t1, t2, x, closed);
+}
 
 TEST(ConflictGraph, Fig1Arcs) {
   PaperInstance inst = MakeFig1Instance();
@@ -110,6 +123,11 @@ TEST(Closure, RejectsNonDominator) {
                                    {w});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().ToString(),
+            reference::CloseWithRespectTo(inst.system->txn(0),
+                                          inst.system->txn(1), {w})
+                .status()
+                .ToString());
 }
 
 TEST(Closure, RejectsNonCommonEntity) {
@@ -131,6 +149,13 @@ TEST(Closure, ConvergesOnTwoSitePairs) {
   ASSERT_TRUE(closed.ok()) << closed.status().ToString();
   EXPECT_TRUE(IsClosedWithRespectTo(closed->t1, closed->t2,
                                     d.EntitiesOf(dom.value())));
+  auto ref = reference::CloseWithRespectTo(
+      inst.system->txn(0), inst.system->txn(1), d.EntitiesOf(dom.value()));
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(closed->t1.ToString(), ref->t1.ToString());
+  EXPECT_EQ(closed->t2.ToString(), ref->t2.ToString());
+  EXPECT_EQ(closed->iterations, ref->iterations);
+  EXPECT_EQ(closed->precedences_added, ref->precedences_added);
 }
 
 TEST(Closure, AddedPrecedencesExtendTheOriginals) {
@@ -157,13 +182,8 @@ TEST(Closure, AddedPrecedencesExtendTheOriginals) {
 
 TEST(Certificate, BuildsVerifiedWitnessForFig1) {
   PaperInstance inst = MakeFig1Instance();
-  ConflictGraph d = BuildConflictGraph(inst.system->txn(0),
-                                       inst.system->txn(1));
-  auto dom = FindDominator(d.graph);
-  ASSERT_TRUE(dom.ok());
-  auto cert = BuildUnsafetyCertificate(inst.system->txn(0),
-                                       inst.system->txn(1),
-                                       d.EntitiesOf(dom.value()));
+  auto cert = CertifyFirstDominator(inst.system->txn(0),
+                                    inst.system->txn(1));
   ASSERT_TRUE(cert.ok()) << cert.status().ToString();
   EXPECT_TRUE(VerifyUnsafetyCertificate(inst.system->txn(0),
                                         inst.system->txn(1), *cert)
@@ -178,13 +198,8 @@ TEST(Certificate, BuildsVerifiedWitnessForFig1) {
 
 TEST(Certificate, VerifyRejectsTamperedSchedule) {
   PaperInstance inst = MakeFig1Instance();
-  ConflictGraph d = BuildConflictGraph(inst.system->txn(0),
-                                       inst.system->txn(1));
-  auto dom = FindDominator(d.graph);
-  ASSERT_TRUE(dom.ok());
-  auto cert = BuildUnsafetyCertificate(inst.system->txn(0),
-                                       inst.system->txn(1),
-                                       d.EntitiesOf(dom.value()));
+  auto cert = CertifyFirstDominator(inst.system->txn(0),
+                                    inst.system->txn(1));
   ASSERT_TRUE(cert.ok());
   // Replace the schedule with a serial one: verification must fail.
   UnsafetyCertificate tampered = *cert;
@@ -199,12 +214,8 @@ TEST(Certificate, VerifyRejectsTamperedSchedule) {
 
 TEST(Certificate, VerifyRejectsNonExtensionOrders) {
   PaperInstance inst = MakeFig1Instance();
-  ConflictGraph d = BuildConflictGraph(inst.system->txn(0),
-                                       inst.system->txn(1));
-  auto dom = FindDominator(d.graph);
-  auto cert = BuildUnsafetyCertificate(inst.system->txn(0),
-                                       inst.system->txn(1),
-                                       d.EntitiesOf(dom.value()));
+  auto cert = CertifyFirstDominator(inst.system->txn(0),
+                                    inst.system->txn(1));
   ASSERT_TRUE(cert.ok());
   UnsafetyCertificate tampered = *cert;
   std::reverse(tampered.order1.begin(), tampered.order1.end());
@@ -238,12 +249,8 @@ TEST(Certificate, FromExtensionsFailsOnSafePair) {
 
 TEST(Certificate, ToStringMentionsDominatorAndSchedule) {
   PaperInstance inst = MakeFig1Instance();
-  ConflictGraph d = BuildConflictGraph(inst.system->txn(0),
-                                       inst.system->txn(1));
-  auto dom = FindDominator(d.graph);
-  auto cert = BuildUnsafetyCertificate(inst.system->txn(0),
-                                       inst.system->txn(1),
-                                       d.EntitiesOf(dom.value()));
+  auto cert = CertifyFirstDominator(inst.system->txn(0),
+                                    inst.system->txn(1));
   ASSERT_TRUE(cert.ok());
   std::string str = CertificateToString(*cert, *inst.db);
   EXPECT_NE(str.find("dominator X"), std::string::npos);

@@ -5,6 +5,7 @@
 
 #include "core/brute_force.h"
 #include "core/certificate.h"
+#include "core/closure.h"
 #include "core/deadlock.h"
 #include "core/multi.h"
 #include "core/safety.h"
@@ -187,9 +188,11 @@ TEST(EdgeCases, CertificateForNonDominatorFails) {
   b2.LockUpdateUnlock("y");
   EntityId x = db.Find("x").value();
   EntityId y = db.Find("y").value();
-  // {x, y} = V is not a proper subset.
-  auto cert = BuildUnsafetyCertificate(b1.Build(), b2.Build(), {x, y});
-  EXPECT_FALSE(cert.ok());
+  // {x, y} = V is not a proper subset, so the closure every certificate
+  // is built from rejects it.
+  auto closed = CloseWithRespectTo(b1.Build(), b2.Build(), {x, y});
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EdgeCases, MultiSafetyOnSingleTransaction) {

@@ -1,8 +1,10 @@
-// Differential tests of the flat CSR + bitset kernels (graph/csr.h and the
-// *Flat entry points) against the legacy pointer-heavy implementations, plus
+// Differential tests of the engine's CSR + bitset kernels (graph/csr.h and
+// the graph, closure, fingerprint and B_c entry points built on it) against
+// the naive reference kernels of tests/reference_kernels.h — the original
+// pointer-heavy implementations, kept for exactly this comparison — plus
 // unit tests of the Arena allocator that backs them.
 //
-// The flat kernels promise BYTE-IDENTICAL results, not merely equivalent
+// The kernels promise BYTE-IDENTICAL results, not merely equivalent
 // verdicts: component numberings, enumeration orders, Status messages and
 // serialized reports must all match, because the engine's deterministic
 // serial-scan replay (core/multi.h) folds those orders into user-visible
@@ -28,6 +30,7 @@
 #include "graph/dominator.h"
 #include "graph/reachability.h"
 #include "graph/scc.h"
+#include "reference_kernels.h"
 #include "sim/workload.h"
 #include "txn/catalog.h"
 #include "txn/system.h"
@@ -114,13 +117,13 @@ TEST(FlatKernel, CsrPreservesAdjacencyOrder) {
     CsrGraph csr = BuildCsr(g, &arena);
     ASSERT_EQ(csr.NumNodes(), g.NumNodes());
     for (NodeId u = 0; u < n; ++u) {
-      std::vector<NodeId> flat(csr.begin(u), csr.end(u));
-      EXPECT_EQ(flat, g.OutNeighbors(u)) << "u=" << u;
+      std::vector<NodeId> got(csr.begin(u), csr.end(u));
+      EXPECT_EQ(got, g.OutNeighbors(u)) << "u=" << u;
     }
     CsrGraph rev = BuildReverseCsr(g, &arena);
     for (NodeId u = 0; u < n; ++u) {
-      std::vector<NodeId> flat(rev.begin(u), rev.end(u));
-      EXPECT_EQ(flat, g.InNeighbors(u)) << "u=" << u;
+      std::vector<NodeId> got(rev.begin(u), rev.end(u));
+      EXPECT_EQ(got, g.InNeighbors(u)) << "u=" << u;
     }
   }
 }
@@ -130,15 +133,15 @@ TEST(FlatKernel, SccMatchesLegacyNumberingExactly) {
   for (int trial = 0; trial < 50; ++trial) {
     int n = static_cast<int>(rng.Uniform(15));
     Digraph g = RandomDigraph(n, 0.25, /*allow_self_loops=*/true, &rng);
-    SccResult legacy = StronglyConnectedComponents(g);
+    reference::Scc ref = reference::StronglyConnectedComponents(g);
     Arena arena;
-    FlatScc flat = SccOnCsr(BuildCsr(g, &arena), &arena);
-    ASSERT_EQ(flat.num_components, legacy.num_components) << "trial " << trial;
+    FlatScc got = SccOnCsr(BuildCsr(g, &arena), &arena);
+    ASSERT_EQ(got.num_components, ref.num_components) << "trial " << trial;
     for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(flat.component[v], legacy.component[v])
+      EXPECT_EQ(got.component[v], ref.component[v])
           << "trial " << trial << " v=" << v;
     }
-    EXPECT_EQ(IsStronglyConnectedFlat(g), IsStronglyConnected(g));
+    EXPECT_EQ(IsStronglyConnected(g), ref.num_components <= 1);
   }
 }
 
@@ -147,16 +150,16 @@ TEST(FlatKernel, GroupSccMembersMatchesLegacyMemberLists) {
   for (int trial = 0; trial < 30; ++trial) {
     int n = 1 + static_cast<int>(rng.Uniform(12));
     Digraph g = RandomDigraph(n, 0.3, /*allow_self_loops=*/false, &rng);
-    SccResult legacy = StronglyConnectedComponents(g);
+    reference::Scc ref = reference::StronglyConnectedComponents(g);
     Arena arena;
-    FlatScc flat = SccOnCsr(BuildCsr(g, &arena), &arena);
-    FlatSccMembers members = GroupSccMembers(flat, n, &arena);
-    for (int c = 0; c < flat.num_components; ++c) {
+    FlatScc got = SccOnCsr(BuildCsr(g, &arena), &arena);
+    FlatSccMembers members = GroupSccMembers(got, n, &arena);
+    for (int c = 0; c < got.num_components; ++c) {
       std::vector<NodeId> flat_members(members.nodes + members.offsets[c],
                                        members.nodes + members.offsets[c + 1]);
-      std::vector<NodeId> legacy_sorted = legacy.members[c];
-      std::sort(legacy_sorted.begin(), legacy_sorted.end());
-      EXPECT_EQ(flat_members, legacy_sorted) << "trial " << trial;
+      std::vector<NodeId> ref_sorted = ref.members[c];
+      std::sort(ref_sorted.begin(), ref_sorted.end());
+      EXPECT_EQ(flat_members, ref_sorted) << "trial " << trial;
     }
   }
 }
@@ -165,15 +168,15 @@ TEST(FlatKernel, ReachabilityFlatEqualsLegacy) {
   Rng rng(14);
   for (int trial = 0; trial < 40; ++trial) {
     int n = static_cast<int>(rng.Uniform(14));
-    // Mix DAG-ish sparse and cyclic dense graphs: the legacy build uses the
-    // topological sweep on DAGs and per-node BFS on cyclic graphs.
+    // Mix DAG-ish sparse and cyclic dense graphs: the CSR closure takes a
+    // Kahn fast path on DAGs and condenses SCCs on cyclic graphs.
     double p = trial % 2 == 0 ? 0.15 : 0.4;
     Digraph g = RandomDigraph(n, p, /*allow_self_loops=*/true, &rng);
-    Reachability flat(g, Reachability::Impl::kFlat);
-    Reachability legacy(g, Reachability::Impl::kLegacy);
+    Reachability got(g);
+    std::vector<std::vector<bool>> ref = reference::Reachable(g);
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = 0; v < n; ++v) {
-        EXPECT_EQ(flat.Reaches(u, v), legacy.Reaches(u, v))
+        EXPECT_EQ(got.Reaches(u, v), ref[u][v])
             << "trial " << trial << " u=" << u << " v=" << v;
       }
     }
@@ -185,11 +188,12 @@ TEST(FlatKernel, CyclesFlatEqualsLegacyIncludingOrder) {
   for (int trial = 0; trial < 40; ++trial) {
     int n = static_cast<int>(rng.Uniform(9));
     Digraph g = RandomDigraph(n, 0.3, /*allow_self_loops=*/true, &rng);
-    EXPECT_EQ(HasCycleFlat(g), HasCycle(g)) << "trial " << trial;
+    EXPECT_EQ(HasCycle(g), reference::HasCycle(g)) << "trial " << trial;
     // Exact sequence equality: same cycles, same enumeration order. Also
     // exercised with a budget small enough to truncate.
     for (int64_t max_cycles : {int64_t{1} << 20, int64_t{5}}) {
-      EXPECT_EQ(SimpleCyclesFlat(g, max_cycles), SimpleCycles(g, max_cycles))
+      EXPECT_EQ(SimpleCycles(g, max_cycles),
+                reference::SimpleCycles(g, max_cycles))
           << "trial " << trial << " max_cycles=" << max_cycles;
     }
   }
@@ -200,16 +204,17 @@ TEST(FlatKernel, DominatorsFlatEqualsLegacyIncludingOrder) {
   for (int trial = 0; trial < 40; ++trial) {
     int n = static_cast<int>(rng.Uniform(10));
     Digraph g = RandomDigraph(n, 0.3, /*allow_self_loops=*/false, &rng);
-    auto legacy = FindDominator(g);
-    auto flat = FindDominatorFlat(g);
-    ASSERT_EQ(flat.ok(), legacy.ok()) << "trial " << trial;
-    if (flat.ok()) {
-      EXPECT_EQ(flat.value(), legacy.value()) << "trial " << trial;
+    auto ref = reference::FindDominator(g);
+    auto got = FindDominator(g);
+    ASSERT_EQ(got.ok(), ref.ok()) << "trial " << trial;
+    if (got.ok()) {
+      EXPECT_EQ(got.value(), ref.value()) << "trial " << trial;
     } else {
-      EXPECT_EQ(flat.status().ToString(), legacy.status().ToString());
+      EXPECT_EQ(got.status().ToString(), ref.status().ToString());
     }
     for (int64_t max_count : {int64_t{1} << 16, int64_t{3}}) {
-      EXPECT_EQ(AllDominatorsFlat(g, max_count), AllDominators(g, max_count))
+      EXPECT_EQ(AllDominators(g, max_count),
+                reference::AllDominators(g, max_count))
           << "trial " << trial << " max_count=" << max_count;
     }
   }
@@ -221,18 +226,18 @@ TEST(FlatKernel, DominatorsFlatEqualsLegacyIncludingOrder) {
 
 void ExpectSameClosure(const Transaction& t1, const Transaction& t2,
                        const std::vector<EntityId>& x_set, const char* what) {
-  auto legacy = CloseWithRespectTo(t1, t2, x_set);
-  auto flat = CloseWithRespectToFlat(t1, t2, x_set);
-  ASSERT_EQ(flat.ok(), legacy.ok()) << what;
-  if (!flat.ok()) {
-    EXPECT_EQ(flat.status().ToString(), legacy.status().ToString()) << what;
+  auto ref = reference::CloseWithRespectTo(t1, t2, x_set);
+  auto got = CloseWithRespectTo(t1, t2, x_set);
+  ASSERT_EQ(got.ok(), ref.ok()) << what;
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().ToString(), ref.status().ToString()) << what;
     return;
   }
-  EXPECT_EQ(flat.value().precedences_added, legacy.value().precedences_added)
+  EXPECT_EQ(got.value().precedences_added, ref.value().precedences_added)
       << what;
-  EXPECT_EQ(flat.value().iterations, legacy.value().iterations) << what;
-  EXPECT_EQ(flat.value().t1.ToString(), legacy.value().t1.ToString()) << what;
-  EXPECT_EQ(flat.value().t2.ToString(), legacy.value().t2.ToString()) << what;
+  EXPECT_EQ(got.value().iterations, ref.value().iterations) << what;
+  EXPECT_EQ(got.value().t1.ToString(), ref.value().t1.ToString()) << what;
+  EXPECT_EQ(got.value().t2.ToString(), ref.value().t2.ToString()) << what;
 }
 
 TEST(FlatKernel, ClosureFlatEqualsLegacyOnRandomPairs) {
@@ -274,7 +279,7 @@ TEST(FlatKernel, ClosureFlatEqualsLegacyOnRandomPairs) {
   EXPECT_GT(interesting, 10);
 }
 
-TEST(FlatKernel, PairFingerprintFlatIsByteIdentical) {
+TEST(FlatKernel, PairFingerprintMatchesReference) {
   Rng rng(18);
   for (int trial = 0; trial < 60; ++trial) {
     WorkloadParams params;
@@ -288,29 +293,97 @@ TEST(FlatKernel, PairFingerprintFlatIsByteIdentical) {
     Workload w = MakeRandomWorkload(params, &rng);
     const Transaction& t1 = w.system->txn(0);
     const Transaction& t2 = w.system->txn(1);
-    EXPECT_EQ(PairFingerprintFlat(t1, t2), PairFingerprint(t1, t2))
+    EXPECT_EQ(PairFingerprint(t1, t2), reference::PairFingerprint(t1, t2))
         << "trial " << trial;
-    EXPECT_EQ(PairFingerprintFlat(t2, t1), PairFingerprint(t2, t1))
+    EXPECT_EQ(PairFingerprint(t2, t1), reference::PairFingerprint(t2, t1))
         << "trial " << trial << " (swapped)";
   }
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine differential: flat vs legacy, serial vs 4 threads, the
-// serialized report must be byte-identical in every configuration.
+// Condition (b): the B_c kernel against the paper's literal B_c
 // ---------------------------------------------------------------------------
 
-EngineConfig GridConfig(bool flat, int threads, bool cache) {
+Workload RandomSystem(int trial, Rng* rng) {
+  WorkloadParams params;
+  params.num_sites = 1 + static_cast<int>(rng->Uniform(3));
+  params.num_entities = 3 + static_cast<int>(rng->Uniform(5));
+  params.num_transactions = 2 + static_cast<int>(rng->Uniform(4));
+  params.lock_probability = 0.6;
+  params.shared_probability = trial % 2 == 0 ? 0.3 : 0.0;
+  params.cross_site_arcs = static_cast<int>(rng->Uniform(3));
+  return MakeRandomWorkload(params, rng);
+}
+
+TEST(FlatKernel, BcHasCycleMatchesLiteralBc) {
+  Rng rng(22);
+  int acyclic = 0;
+  int cyclic = 0;
+  int two_cycles = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    Workload w = RandomSystem(trial, &rng);
+    SystemView view = w.system->View();
+    Digraph g = BuildTransactionConflictGraph(view);
+    std::vector<std::pair<int, int>> pairs;
+    for (NodeId i = 0; i < g.NumNodes(); ++i) {
+      for (NodeId j = i + 1; j < g.NumNodes(); ++j) {
+        if (g.HasArc(i, j)) pairs.emplace_back(i, j);
+      }
+    }
+    FlatCycleChecker checker(view, pairs);
+    // Every directed cycle of G, 2-cycles included (the cycles
+    // include_two_cycles adds to condition (b)).
+    for (const auto& cycle : SimpleCycles(g, 1 << 12)) {
+      std::vector<int> c(cycle.begin(), cycle.end());
+      const bool expected =
+          reference::HasCycle(reference::BuildCycleGraph(view, c));
+      EXPECT_EQ(checker.BcHasCycle(c), expected) << "trial " << trial;
+      (expected ? cyclic : acyclic) += 1;
+      two_cycles += c.size() == 2 ? 1 : 0;
+    }
+
+    // The engine's condition (b) verdict with and without 2-cycles: when
+    // every pair is safe, the failing cycle is the first (in enumeration
+    // order) whose literal B_c is acyclic.
+    for (bool include_two_cycles : {false, true}) {
+      EngineConfig config;
+      config.include_two_cycles = include_two_cycles;
+      MultiSafetyReport report = AnalyzeMultiSafety(*w.system, config);
+      if (report.failing_pair.has_value()) continue;
+      std::vector<int> expected_failure;
+      for (const auto& cycle : SimpleCycles(g, config.max_cycles)) {
+        if (cycle.size() < (include_two_cycles ? 2u : 3u)) continue;
+        std::vector<int> c(cycle.begin(), cycle.end());
+        if (!reference::HasCycle(reference::BuildCycleGraph(view, c))) {
+          expected_failure = c;
+          break;
+        }
+      }
+      EXPECT_EQ(report.failing_cycle, expected_failure)
+          << "trial " << trial << " include_two_cycles=" << include_two_cycles;
+    }
+  }
+  // The generator must exercise both verdicts and the 2-cycle case.
+  EXPECT_GT(cyclic, 10);
+  EXPECT_GT(acyclic, 10);
+  EXPECT_GT(two_cycles, 10);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-engine determinism: serial vs 4 threads, with and without the
+// verdict cache, the serialized report must be byte-identical.
+// ---------------------------------------------------------------------------
+
+EngineConfig GridConfig(int threads, bool cache) {
   EngineConfig config;
   config.max_cycles = 1 << 10;
   config.max_extension_pairs = 1 << 14;
-  config.use_flat_kernel = flat;
   config.num_threads = threads;
   config.enable_cache = cache;
   return config;
 }
 
-TEST(FlatKernel, MultiReportsByteIdenticalAcrossKernelAndThreads) {
+TEST(FlatKernel, MultiReportsByteIdenticalAcrossThreadsAndCache) {
   Rng rng(19);
   for (int trial = 0; trial < 12; ++trial) {
     WorkloadParams params;
@@ -320,25 +393,26 @@ TEST(FlatKernel, MultiReportsByteIdenticalAcrossKernelAndThreads) {
     params.lock_probability = 0.6;
     params.cross_site_arcs = static_cast<int>(rng.Uniform(3));
     Workload w = MakeRandomWorkload(params, &rng);
+    MultiSafetyReport plain =
+        AnalyzeMultiSafety(*w.system, GridConfig(1, false));
     for (bool cache : {false, true}) {
       MultiSafetyReport baseline =
-          AnalyzeMultiSafety(*w.system, GridConfig(false, 1, cache));
+          AnalyzeMultiSafety(*w.system, GridConfig(1, cache));
       std::string expected = MultiReportToJson(baseline, *w.system);
-      for (bool flat : {true, false}) {
-        for (int threads : {1, 4}) {
-          if (!flat && threads == 1 && !cache) continue;  // the baseline
-          MultiSafetyReport report =
-              AnalyzeMultiSafety(*w.system, GridConfig(flat, threads, cache));
-          EXPECT_EQ(MultiReportToJson(report, *w.system), expected)
-              << "trial " << trial << " flat=" << flat
-              << " threads=" << threads << " cache=" << cache;
-        }
-      }
+      // The cache only ever changes how a verdict was obtained, never the
+      // verdict or the failing pair/cycle.
+      EXPECT_EQ(baseline.verdict, plain.verdict) << "trial " << trial;
+      EXPECT_EQ(baseline.failing_pair, plain.failing_pair);
+      EXPECT_EQ(baseline.failing_cycle, plain.failing_cycle);
+      MultiSafetyReport report =
+          AnalyzeMultiSafety(*w.system, GridConfig(4, cache));
+      EXPECT_EQ(MultiReportToJson(report, *w.system), expected)
+          << "trial " << trial << " cache=" << cache;
     }
   }
 }
 
-TEST(FlatKernel, IncrementalEngineMatchesAcrossKernels) {
+TEST(FlatKernel, IncrementalEngineMatchesScratchAcrossThreadsAndCache) {
   Rng rng(20);
   WorkloadParams params;
   params.num_sites = 2;
@@ -347,32 +421,30 @@ TEST(FlatKernel, IncrementalEngineMatchesAcrossKernels) {
   params.lock_probability = 0.6;
   Workload w = MakeRandomWorkload(params, &rng);
 
-  auto run = [&](bool flat, bool cache) {
-    TransactionCatalog catalog(w.db.get());
-    for (int i = 0; i < w.system->NumTransactions(); ++i) {
-      EXPECT_TRUE(catalog.Add(w.system->txn(i)).ok());
-    }
-    EngineConfig config = GridConfig(flat, 1, cache);
-    EngineContext ctx(config);
-    IncrementalSafetyEngine engine(&catalog, &ctx);
-    MultiSafetyReport first = engine.Check();
-    MultiSafetyReport second = engine.Check();  // exercises the reuse path
-    first.delta.reset();
-    second.delta.reset();
-    CatalogSnapshot snap = catalog.Snapshot();
-    return std::make_pair(MultiReportToJson(first, snap.View()),
-                          MultiReportToJson(second, snap.View()));
-  };
   for (bool cache : {false, true}) {
-    auto [flat_first, flat_second] = run(/*flat=*/true, cache);
-    auto [legacy_first, legacy_second] = run(/*flat=*/false, cache);
-    EXPECT_EQ(flat_first, legacy_first) << "cache=" << cache;
-    EXPECT_EQ(flat_second, legacy_second) << "cache=" << cache;
-    EXPECT_EQ(flat_first, flat_second) << "cache=" << cache;
+    const std::string scratch = MultiReportToJson(
+        AnalyzeMultiSafety(*w.system, GridConfig(1, cache)), *w.system);
+    for (int threads : {1, 4}) {
+      TransactionCatalog catalog(w.db.get());
+      for (int i = 0; i < w.system->NumTransactions(); ++i) {
+        EXPECT_TRUE(catalog.Add(w.system->txn(i)).ok());
+      }
+      EngineContext ctx(GridConfig(threads, cache));
+      IncrementalSafetyEngine engine(&catalog, &ctx);
+      MultiSafetyReport first = engine.Check();
+      MultiSafetyReport second = engine.Check();  // exercises the reuse path
+      first.delta.reset();
+      second.delta.reset();
+      CatalogSnapshot snap = catalog.Snapshot();
+      EXPECT_EQ(MultiReportToJson(first, snap.View()), scratch)
+          << "cache=" << cache << " threads=" << threads;
+      EXPECT_EQ(MultiReportToJson(second, snap.View()), scratch)
+          << "cache=" << cache << " threads=" << threads;
+    }
   }
 }
 
-// The flat kernels borrow the caller thread's ScratchArena via ArenaScope;
+// The got kernels borrow the caller thread's ScratchArena via ArenaScope;
 // after an analysis returns, the arena's bump state must be fully rewound —
 // a leak here would couple successive checks' scratch memory.
 TEST(FlatKernel, ScratchArenaStateRewindsBetweenChecks) {
@@ -385,11 +457,10 @@ TEST(FlatKernel, ScratchArenaStateRewindsBetweenChecks) {
 
   Arena* arena = ScratchArena();
   arena->Reset();
-  EngineConfig config = GridConfig(/*flat=*/true, /*threads=*/1,
-                                   /*cache=*/false);
+  EngineConfig config = GridConfig(/*threads=*/1, /*cache=*/false);
   MultiSafetyReport first = AnalyzeMultiSafety(*w.system, config);
   EXPECT_EQ(arena->BytesUsed(), 0u)
-      << "flat kernels leaked arena bytes past their scopes";
+      << "got kernels leaked arena bytes past their scopes";
   // Steady state: a second identical analysis reuses the grown capacity
   // (no new blocks) and reproduces the report byte for byte.
   arena->Reset();

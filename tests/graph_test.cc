@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <set>
 
+#include "graph/csr.h"
 #include "graph/cycles.h"
 #include "graph/digraph.h"
 #include "graph/dominator.h"
 #include "graph/reachability.h"
 #include "graph/scc.h"
 #include "graph/topological.h"
+#include "reference_kernels.h"
+#include "util/arena.h"
 #include "util/random.h"
 
 namespace dislock {
@@ -79,22 +82,34 @@ TEST(Scc, TwoNodesNeedBothArcs) {
 TEST(Scc, ComponentsOfTwoCyclesJoinedByArc) {
   // 0<->1 -> 2<->3
   Digraph g = MakeGraph(4, {{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}});
-  SccResult scc = StronglyConnectedComponents(g);
+  Arena arena;
+  FlatScc scc = SccOnCsr(BuildCsr(g, &arena), &arena);
   EXPECT_EQ(scc.num_components, 2);
   EXPECT_EQ(scc.component[0], scc.component[1]);
   EXPECT_EQ(scc.component[2], scc.component[3]);
   EXPECT_NE(scc.component[0], scc.component[2]);
   // Tarjan numbering: arcs in the condensation go from higher to lower ids.
   EXPECT_GT(scc.component[0], scc.component[2]);
+  reference::Scc ref = reference::StronglyConnectedComponents(g);
+  for (NodeId v = 0; v < 4; ++v) EXPECT_EQ(scc.component[v], ref.component[v]);
 }
 
 TEST(Scc, CondensationIsAcyclicAndDeduplicated) {
   Digraph g = MakeGraph(4, {{0, 1}, {1, 0}, {0, 2}, {1, 2}, {2, 3}, {3, 2}});
-  SccResult scc = StronglyConnectedComponents(g);
-  Digraph cond = Condensation(g, scc);
-  EXPECT_EQ(cond.NumNodes(), 2);
-  EXPECT_EQ(cond.NumArcs(), 1);  // the two cross arcs collapse to one
-  EXPECT_TRUE(IsAcyclic(cond));
+  Arena arena;
+  CsrGraph csr = BuildCsr(g, &arena);
+  FlatScc scc = SccOnCsr(csr, &arena);
+  CsrGraph cond_in = CondensationInArcsOnCsr(csr, scc, &arena);
+  EXPECT_EQ(cond_in.NumNodes(), 2);
+  EXPECT_EQ(cond_in.num_arcs, 1);  // the two cross arcs collapse to one
+  // The one arc runs from {0,1} into {2,3}: acyclic.
+  ASSERT_EQ(cond_in.OutDegree(scc.component[2]), 1);
+  EXPECT_EQ(*cond_in.begin(scc.component[2]), scc.component[0]);
+  EXPECT_EQ(cond_in.OutDegree(scc.component[0]), 0);
+  Digraph ref =
+      reference::Condensation(g, reference::StronglyConnectedComponents(g));
+  EXPECT_EQ(ref.NumArcs(), cond_in.num_arcs);
+  EXPECT_TRUE(IsAcyclic(ref));
 }
 
 TEST(Scc, LargeCycleIsOneComponent) {
@@ -108,7 +123,9 @@ TEST(Scc, LongPathHasNComponents) {
   const int n = 500;
   Digraph g(n);
   for (int i = 0; i + 1 < n; ++i) g.AddArc(i, i + 1);
-  EXPECT_EQ(StronglyConnectedComponents(g).num_components, n);
+  Arena arena;
+  EXPECT_EQ(SccOnCsr(BuildCsr(g, &arena), &arena).num_components, n);
+  EXPECT_FALSE(IsStronglyConnected(g));
 }
 
 // ------------------------------------------------------------ Topological
@@ -220,22 +237,9 @@ TEST(Reachability, MatchesBfsOnRandomDags) {
       }
     }
     Reachability reach(g);
-    // Spot-check with per-node DFS.
+    std::vector<std::vector<bool>> ref = reference::Reachable(g);
     for (int s = 0; s < n; ++s) {
-      std::vector<bool> seen(n, false);
-      std::vector<int> stack{s};
-      seen[s] = true;
-      while (!stack.empty()) {
-        int u = stack.back();
-        stack.pop_back();
-        for (NodeId v : g.OutNeighbors(u)) {
-          if (!seen[v]) {
-            seen[v] = true;
-            stack.push_back(v);
-          }
-        }
-      }
-      for (int t = 0; t < n; ++t) EXPECT_EQ(reach.Reaches(s, t), seen[t]);
+      for (int t = 0; t < n; ++t) EXPECT_EQ(reach.Reaches(s, t), ref[s][t]);
     }
   }
 }
@@ -359,6 +363,7 @@ TEST(Dominator, CountMatchesBruteForceOnSmallGraphs) {
       if (IsDominator(g, subset)) ++expected;
     }
     EXPECT_EQ(static_cast<int>(AllDominators(g, 1 << 12).size()), expected);
+    EXPECT_EQ(AllDominators(g, 1 << 12), reference::AllDominators(g, 1 << 12));
   }
 }
 

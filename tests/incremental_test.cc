@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cache/verdict_store.h"
 #include "core/decision/context.h"
 #include "core/incremental/engine.h"
 #include "core/multi.h"
@@ -215,11 +217,24 @@ TEST(IncrementalEngine, ResetForcesFullRecheckWithSameReport) {
   EXPECT_EQ(JsonSansDelta(before, snap), JsonSansDelta(after, snap));
 }
 
+// An empty directory under gtest's temp root for a tier-2 verdict store.
+std::string EmptyStoreDir(const std::string& name) {
+  std::string dir = testing::TempDir() + "/incremental_test_" + name;
+  for (const char* file :
+       {cache::kVerdictLogFileName, cache::kVerdictIndexFileName,
+        cache::kVerdictLockFileName}) {
+    std::remove((dir + "/" + file).c_str());
+  }
+  return dir;
+}
+
 // The satellite property test: a random add/remove/replace sequence with a
 // Check after every edit equals from-scratch analysis of the then-current
 // system — same verdict, same failing pair/cycle, same pipeline stats —
-// serially, at 4 threads, and with the engine-owned verdict cache on. The
-// DeltaStats themselves must also be thread-count invariant.
+// serially, at 4 threads, with the engine-owned verdict cache on, and with
+// a cold tier-2 store (which the check writes but never reads; its scratch
+// comparison gets its own cold store). The DeltaStats themselves must also
+// be thread-count invariant.
 TEST(IncrementalProperty, RandomEditSequencesMatchScratch) {
   Rng rng(0xD15C0'1CE);
   constexpr int kTrials = 12;
@@ -243,13 +258,22 @@ TEST(IncrementalProperty, RandomEditSequencesMatchScratch) {
     EngineConfig cached_config = TestConfig(1);
     cached_config.enable_cache = true;
 
+    cache::VerdictStore engine_store;
+    ASSERT_TRUE(engine_store.Open(EmptyStoreDir("engine")));
+    EngineConfig stored_config = TestConfig(1);
+    stored_config.store = &engine_store;
+    // Never flushed, so every store opened on it starts cold.
+    const std::string scratch_store_dir = EmptyStoreDir("scratch");
+
     TransactionCatalog catalog(pool.db.get());
     EngineContext serial_ctx(serial_config);
     EngineContext parallel_ctx(parallel_config);
     EngineContext cached_ctx(cached_config);
+    EngineContext stored_ctx(stored_config);
     IncrementalSafetyEngine serial(&catalog, &serial_ctx);
     IncrementalSafetyEngine parallel(&catalog, &parallel_ctx);
     IncrementalSafetyEngine cached(&catalog, &cached_ctx);
+    IncrementalSafetyEngine stored(&catalog, &stored_ctx);
 
     int name_counter = 0;
     auto add_from_pool = [&]() {
@@ -263,6 +287,7 @@ TEST(IncrementalProperty, RandomEditSequencesMatchScratch) {
       MultiSafetyReport serial_report = serial.Check();
       MultiSafetyReport parallel_report = parallel.Check();
       MultiSafetyReport cached_report = cached.Check();
+      MultiSafetyReport stored_report = stored.Check();
       ASSERT_TRUE(serial_report.delta.has_value());
       ASSERT_TRUE(parallel_report.delta.has_value());
       // Reuse accounting is part of the determinism contract.
@@ -272,6 +297,11 @@ TEST(IncrementalProperty, RandomEditSequencesMatchScratch) {
       ExpectMatchesScratch(serial_report, catalog, serial_config, where);
       ExpectMatchesScratch(parallel_report, catalog, parallel_config, where);
       ExpectMatchesScratch(cached_report, catalog, cached_config, where);
+      cache::VerdictStore scratch_store;
+      ASSERT_TRUE(scratch_store.Open(scratch_store_dir));
+      EngineConfig scratch_config = stored_config;
+      scratch_config.store = &scratch_store;
+      ExpectMatchesScratch(stored_report, catalog, scratch_config, where);
     };
 
     for (int i = 0; i < 3; ++i) add_from_pool();
@@ -297,6 +327,8 @@ TEST(IncrementalProperty, RandomEditSequencesMatchScratch) {
       }
       check_all("after edit");
     }
+    // The checks fed the store: every decided pair reaches disk.
+    EXPECT_GT(engine_store.Flush(), 0) << "trial " << trial;
   }
 }
 

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
+#include "core/decision/context.h"
+#include "core/incremental/engine.h"
 #include "core/multi.h"
 #include "core/paper.h"
 #include "core/policy.h"
 #include "graph/cycles.h"
+#include "obs/trace.h"
+#include "reference_kernels.h"
 #include "sim/workload.h"
 #include "txn/builder.h"
+#include "txn/catalog.h"
 #include "util/string_util.h"
 
 namespace dislock {
@@ -155,10 +160,66 @@ TEST(BuildCycleGraph, NodesGlueAtSharedPairs) {
   system.Add(MakeTwoPhaseTransaction(&db, "T1", {a, b_}));
   system.Add(MakeTwoPhaseTransaction(&db, "T2", {b_, c}));
   system.Add(MakeTwoPhaseTransaction(&db, "T3", {c, a}));
-  Digraph bc = BuildCycleGraph(system, {0, 1, 2});
+  Digraph bc = reference::BuildCycleGraph(system.View(), {0, 1, 2});
   // Pairs share exactly one entity each: 3 nodes total.
   EXPECT_EQ(bc.NumNodes(), 3);
   EXPECT_TRUE(HasCycle(bc));
+  // The engine's kernel agrees with the literal B_c.
+  SystemView view = system.View();
+  FlatCycleChecker checker(view, {{0, 1}, {0, 2}, {1, 2}});
+  EXPECT_TRUE(checker.BcHasCycle({0, 1, 2}));
+}
+
+// Every pair procedure run opens exactly one "stage.theorem1-scc" span (the
+// first stage is always applicable), so counting them counts pair runs.
+int PairRuns(const obs::TraceRecorder& recorder) {
+  int runs = 0;
+  for (const obs::TraceEvent& e : recorder.Events()) {
+    runs += std::string(e.name) == "stage.theorem1-scc" ? 1 : 0;
+  }
+  return runs;
+}
+
+// Batch analysis and incremental checks run one Proposition-2 routine; it
+// must keep both contracts. A serial batch run stops at the first failing
+// pair and never decides the rest, while a check decides every pair it has
+// no verdict for.
+TEST(Proposition2, BatchStopsAtFirstFailingPairCheckIsExhaustive) {
+  // The Fig. 1 unsafe pair is the first conflicting pair (T1, T2); T3 and
+  // T4 add four more conflicting pairs behind it.
+  PaperInstance inst = MakeFig1Instance();
+  for (const char* name : {"T3", "T4"}) {
+    TransactionBuilder b(inst.db.get(), name);
+    b.LockUpdateUnlock("x");
+    b.LockUpdateUnlock("w");
+    inst.system->Add(b.Build());
+  }
+  EXPECT_EQ(BuildTransactionConflictGraph(*inst.system).NumArcs(), 2 * 6);
+
+  obs::TraceRecorder batch_trace;
+  EngineConfig config;
+  config.trace = &batch_trace;
+  MultiSafetyReport batch = AnalyzeMultiSafety(*inst.system, config);
+  EXPECT_EQ(batch.verdict, SafetyVerdict::kUnsafe);
+  ASSERT_TRUE(batch.failing_pair.has_value());
+  EXPECT_EQ(*batch.failing_pair, std::make_pair(0, 1));
+  EXPECT_EQ(batch.pairs_checked, 1);
+  EXPECT_EQ(PairRuns(batch_trace), 1);
+
+  obs::TraceRecorder check_trace;
+  config.trace = &check_trace;
+  TransactionCatalog catalog(inst.db.get());
+  for (int i = 0; i < inst.system->NumTransactions(); ++i) {
+    ASSERT_TRUE(catalog.Add(inst.system->txn(i)).ok());
+  }
+  EngineContext ctx(config);
+  IncrementalSafetyEngine engine(&catalog, &ctx);
+  MultiSafetyReport check = engine.Check();
+  EXPECT_EQ(check.failing_pair, batch.failing_pair);
+  EXPECT_EQ(check.pairs_checked, 1);
+  ASSERT_TRUE(check.delta.has_value());
+  EXPECT_EQ(check.delta->pairs_recomputed, 6);
+  EXPECT_EQ(PairRuns(check_trace), 6);
 }
 
 }  // namespace

@@ -83,8 +83,11 @@ TEST(Reduction, SatisfyingAssignmentDominatorClosesAndCertifiesUnsafety) {
   ASSERT_TRUE(Fig8Formula().IsSatisfiedBy(assignment));
   std::vector<EntityId> dom = AssignmentToDominator(*red, assignment);
 
+  auto closed = CloseWithRespectTo(red->system->txn(0), red->system->txn(1),
+                                   dom);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
   auto cert = BuildUnsafetyCertificate(red->system->txn(0),
-                                       red->system->txn(1), dom);
+                                       red->system->txn(1), dom, *closed);
   ASSERT_TRUE(cert.ok()) << cert.status().ToString();
   EXPECT_TRUE(VerifyUnsafetyCertificate(red->system->txn(0),
                                         red->system->txn(1), *cert)

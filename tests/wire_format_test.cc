@@ -160,19 +160,6 @@ TEST(WireFormat, EverySessionJsonLineIsVersionedAndValid) {
   EXPECT_EQ(count, 6);
 }
 
-// ---- Serve protocol keys --------------------------------------------------
-
-// The serve wire surface is public protocol: every key and metric name is
-// pinned so a client written today parses every future build.
-TEST(WireKeys, ServeProtocolKeysArePinned) {
-  EXPECT_STREQ(wire::kClientId, "client");
-  EXPECT_STREQ(wire::kClients, "clients");
-  EXPECT_STREQ(wire::kQueueDepth, "queue_depth");
-  EXPECT_STREQ(wire::kQueuePeak, "queue_peak");
-  EXPECT_STREQ(wire::kCommands, "commands");
-  EXPECT_STREQ(wire::kResponses, "responses");
-}
-
 // The two-tier cache surface (docs/caching.md): the `cache` block keys of
 // the session/serve stats response, the dotted metric names the store's
 // owner exports, and the on-disk constants a foreign reader needs.
