@@ -79,6 +79,10 @@ struct AnalysisResult {
   /// run memoized (see AnalysisContext::PipelineTotals). Deterministic at
   /// any thread count, like the diagnostics themselves.
   PipelineStats pipeline;
+  /// When the `deadlock` pass ran: its reachable-state search (bounded by
+  /// max_deadlock_states; ResourceExhausted beyond). Tools render the
+  /// report itself from here, so a run searches once.
+  std::optional<Result<DeadlockReport>> deadlock;
   /// When the tool ran repair synthesis (analyze --repair, dislock fix):
   /// the verified-repair report, rendered by every emitter.
   std::optional<RepairReport> repair;

@@ -133,6 +133,7 @@ AnalysisResult PassManager::Run(const TransactionSystem& system,
     result.passes_run.emplace_back(pass->name());
   }
   result.pipeline = ctx.PipelineTotals();
+  result.deadlock = ctx.TakeDeadlock();
   // The run owner exports once: aggregate counters plus, when the run had
   // a verdict cache, its hit/miss stats.
   ExportAnalysisResultStats(result, options.stats);

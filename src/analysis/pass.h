@@ -53,6 +53,11 @@ class AnalysisContext {
   /// "deadlock.search".
   const Result<DeadlockReport>& Deadlock();
 
+  /// Moves the cached deadlock search out; nullopt when no pass ran it.
+  std::optional<Result<DeadlockReport>> TakeDeadlock() {
+    return std::move(deadlock_cache_);
+  }
+
   /// Sum of the DecisionPipeline statistics over every memoized analysis
   /// (each distinct pair report, plus the multi report's aggregate).
   PipelineStats PipelineTotals() const;

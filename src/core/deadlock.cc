@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "txn/lock_table.h"
 #include "util/string_util.h"
 
 namespace dislock {
@@ -31,38 +32,22 @@ std::string EncodeState(const std::vector<std::vector<bool>>& executed) {
   return key;
 }
 
-/// Reader/writer lock state implied by an execution: which transaction has
-/// executed Lx but not yet Ux, per mode.
-struct LockState {
-  std::vector<int> writer;
-  std::vector<int> reader_count;
-  std::vector<std::vector<char>> reading;
-};
-
-LockState LockStateOf(const TransactionSystem& system,
-                      const std::vector<std::vector<bool>>& executed) {
-  LockState state;
-  const int n = system.db().NumEntities();
-  const int k = system.NumTransactions();
-  state.writer.assign(n, -1);
-  state.reader_count.assign(n, 0);
-  state.reading.assign(n, std::vector<char>(k, 0));
-  for (int i = 0; i < k; ++i) {
+/// Loads into `locks` the lock table implied by an execution: every lock
+/// whose Lx ran and whose Ux did not is held by its transaction, in its
+/// mode.
+void LoadHeldLocks(const TransactionSystem& system,
+                   const std::vector<std::vector<bool>>& executed,
+                   LockTable* locks) {
+  locks->Reset();
+  for (int i = 0; i < system.NumTransactions(); ++i) {
     const Transaction& t = system.txn(i);
     for (EntityId e : t.LockedEntities()) {
       StepId l = t.LockStep(e);
-      StepId u = t.UnlockStep(e);
-      if (executed[i][l] && !executed[i][u]) {
-        if (t.GetStep(l).shared) {
-          state.reading[e][i] = 1;
-          ++state.reader_count[e];
-        } else {
-          state.writer[e] = i;
-        }
+      if (executed[i][l] && !executed[i][t.UnlockStep(e)]) {
+        locks->Fire(i, t.GetStep(l));
       }
     }
   }
-  return state;
 }
 
 /// Steps of transaction i whose predecessors are all executed but which are
@@ -84,16 +69,30 @@ std::vector<StepId> OrderReadySteps(const Transaction& t,
   return ready;
 }
 
-bool StepEnabled(const Transaction& t, StepId s, int txn_index,
-                 const LockState& locks) {
-  const Step& step = t.GetStep(s);
-  if (step.kind == StepKind::kLock) {
-    if (locks.writer[step.entity] != -1) return false;
-    return step.shared || locks.reader_count[step.entity] == 0;
-  }
-  if (step.kind == StepKind::kUnlock) {
-    return step.shared ? locks.reading[step.entity][txn_index] != 0
-                       : locks.writer[step.entity] == txn_index;
+/// Walks the order-ready steps of every transaction in (transaction, step)
+/// order. Calls `on_enabled(i, s)` for each step the lock table lets fire,
+/// stopping (and returning false) as soon as it returns false. Every
+/// transaction with a step the table does not let fire is appended to
+/// `blocked_txns`, with the entity of its last such step in `waited`.
+template <typename OnEnabled>
+bool ScanReadySteps(const TransactionSystem& system,
+                    const std::vector<std::vector<bool>>& executed,
+                    const LockTable& locks, std::vector<int>* blocked_txns,
+                    std::vector<EntityId>* waited, OnEnabled on_enabled) {
+  for (int i = 0; i < system.NumTransactions(); ++i) {
+    const Transaction& t = system.txn(i);
+    EntityId waited_entity = kInvalidEntity;
+    for (StepId s : OrderReadySteps(t, executed[i])) {
+      if (!locks.MayFire(i, t.GetStep(s))) {
+        waited_entity = t.GetStep(s).entity;
+        continue;
+      }
+      if (!on_enabled(i, s)) return false;
+    }
+    if (waited_entity != kInvalidEntity) {
+      blocked_txns->push_back(i);
+      waited->push_back(waited_entity);
+    }
   }
   return true;
 }
@@ -122,6 +121,8 @@ Result<DeadlockReport> AnalyzeDeadlockFreedom(const TransactionSystem& system,
   nodes.push_back({initial, -1, {-1, kInvalidStep}, 0});
   seen.emplace(EncodeState(initial), 0);
 
+  // One lock table for the whole search, reloaded per dequeued state.
+  LockTable locks(system.db().NumEntities(), k);
   std::deque<int64_t> frontier{0};
   while (!frontier.empty()) {
     int64_t cur = frontier.front();
@@ -131,41 +132,32 @@ Result<DeadlockReport> AnalyzeDeadlockFreedom(const TransactionSystem& system,
     // Copy what we need: nodes may reallocate while we append.
     std::vector<std::vector<bool>> executed = nodes[cur].executed;
     int executed_count = nodes[cur].executed_count;
-    LockState locks = LockStateOf(system, executed);
+    LoadHeldLocks(system, executed, &locks);
 
     bool any_enabled = false;
     std::vector<int> blocked_txns;
     std::vector<EntityId> waited;
-    for (int i = 0; i < k; ++i) {
-      const Transaction& t = system.txn(i);
-      bool txn_blocked_on_lock = false;
-      EntityId waited_entity = kInvalidEntity;
-      for (StepId s : OrderReadySteps(t, executed[i])) {
-        if (!StepEnabled(t, s, i, locks)) {
-          txn_blocked_on_lock = true;
-          waited_entity = t.GetStep(s).entity;
-          continue;
-        }
-        any_enabled = true;
-        // Successor state.
-        std::vector<std::vector<bool>> next = executed;
-        next[i][s] = true;
-        std::string key = EncodeState(next);
-        auto [it, inserted] = seen.emplace(key, nodes.size());
-        if (inserted) {
-          if (static_cast<int64_t>(nodes.size()) >= max_states) {
-            return Status::ResourceExhausted(
-                StrCat("deadlock search exceeded ", max_states, " states"));
+    bool within_budget = ScanReadySteps(
+        system, executed, locks, &blocked_txns, &waited,
+        [&](int i, StepId s) {
+          any_enabled = true;
+          // Successor state.
+          std::vector<std::vector<bool>> next = executed;
+          next[i][s] = true;
+          auto [it, inserted] = seen.emplace(EncodeState(next), nodes.size());
+          if (inserted) {
+            if (static_cast<int64_t>(nodes.size()) >= max_states) {
+              return false;
+            }
+            nodes.push_back({std::move(next), cur, {i, s},
+                             executed_count + 1});
+            frontier.push_back(it->second);
           }
-          nodes.push_back({std::move(next), cur, {i, s},
-                           executed_count + 1});
-          frontier.push_back(it->second);
-        }
-      }
-      if (txn_blocked_on_lock) {
-        blocked_txns.push_back(i);
-        waited.push_back(waited_entity);
-      }
+          return true;
+        });
+    if (!within_budget) {
+      return Status::ResourceExhausted(
+          StrCat("deadlock search exceeded ", max_states, " states"));
     }
 
     if (!any_enabled && executed_count < total_steps) {
@@ -202,6 +194,7 @@ Status VerifyDeadlockWitness(const TransactionSystem& system,
   for (int i = 0; i < k; ++i) {
     executed[i].assign(system.txn(i).NumSteps(), false);
   }
+  LockTable locks(system.db().NumEntities(), k);
   // Replay: each event must be a fresh, order-ready, enabled step.
   for (size_t e = 0; e < cert.prefix.size(); ++e) {
     const SysStep& event = cert.prefix.at(e);
@@ -225,11 +218,12 @@ Status VerifyDeadlockWitness(const TransactionSystem& system,
                    " of ", t.name(), " not yet executed"));
       }
     }
-    LockState locks = LockStateOf(system, executed);
-    if (!StepEnabled(t, event.step, event.txn, locks)) {
+    const Step& step = t.GetStep(event.step);
+    if (!locks.MayFire(event.txn, step)) {
       return Status::InvalidArgument(
           StrCat("witness event ", e, ": step not enabled (lock held)"));
     }
+    locks.Fire(event.txn, step);
     executed[event.txn][event.step] = true;
     ++executed_count;
   }
@@ -238,27 +232,18 @@ Status VerifyDeadlockWitness(const TransactionSystem& system,
         "witness prefix is a complete schedule, not a dead state");
   }
   // The reached state must be dead, with exactly the claimed waits.
-  LockState locks = LockStateOf(system, executed);
   std::vector<int> blocked_txns;
   std::vector<EntityId> waited;
-  for (int i = 0; i < k; ++i) {
-    const Transaction& t = system.txn(i);
-    bool txn_blocked_on_lock = false;
-    EntityId waited_entity = kInvalidEntity;
-    for (StepId s : OrderReadySteps(t, executed[i])) {
-      if (!StepEnabled(t, s, i, locks)) {
-        txn_blocked_on_lock = true;
-        waited_entity = t.GetStep(s).entity;
-        continue;
-      }
-      return Status::InvalidArgument(
-          StrCat("state after prefix is not dead: step ", s, " of ",
-                 t.name(), " is enabled"));
-    }
-    if (txn_blocked_on_lock) {
-      blocked_txns.push_back(i);
-      waited.push_back(waited_entity);
-    }
+  SysStep enabled{-1, kInvalidStep};
+  bool dead = ScanReadySteps(system, executed, locks, &blocked_txns, &waited,
+                             [&](int i, StepId s) {
+                               enabled = {i, s};
+                               return false;
+                             });
+  if (!dead) {
+    return Status::InvalidArgument(
+        StrCat("state after prefix is not dead: step ", enabled.step, " of ",
+               system.txn(enabled.txn).name(), " is enabled"));
   }
   if (blocked_txns != cert.blocked_txns) {
     return Status::InvalidArgument(
@@ -346,7 +331,8 @@ Result<Digraph> BuildWaitsForGraph(
       }
     }
   }
-  LockState locks = LockStateOf(system, done);
+  LockTable locks(system.db().NumEntities(), k);
+  LoadHeldLocks(system, done, &locks);
   Digraph waits(k);
   for (int i = 0; i < k; ++i) {
     const Transaction& t = system.txn(i);
@@ -354,12 +340,12 @@ Result<Digraph> BuildWaitsForGraph(
     for (StepId s : OrderReadySteps(t, done[i])) {
       const Step& step = t.GetStep(s);
       if (step.kind != StepKind::kLock) continue;
-      int w = locks.writer[step.entity];
-      if (w != -1 && w != i) waits.AddArcUnique(i, w);
+      int w = locks.WriterOf(step.entity);
+      if (w != LockTable::kFree && w != i) waits.AddArcUnique(i, w);
       if (!step.shared) {
         // An exclusive request waits on every reader.
         for (int j = 0; j < k; ++j) {
-          if (j != i && locks.reading[step.entity][j]) {
+          if (j != i && locks.IsReading(step.entity, j)) {
             waits.AddArcUnique(i, j);
           }
         }

@@ -210,7 +210,6 @@ inline constexpr char kMetricServeResponses[] = "serve.responses";
 inline constexpr char kMetricServeClients[] = "serve.clients";
 inline constexpr char kMetricServeErrors[] = "serve.errors";
 inline constexpr char kMetricServeQueuePeak[] = "serve.queue_peak";
-inline constexpr char kMetricServeQueueDepth[] = "serve.queue_depth";
 
 }  // namespace wire
 }  // namespace dislock

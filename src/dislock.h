@@ -10,7 +10,8 @@
 /// Layering (each header is independently includable):
 ///   * model        — txn/database.h, txn/transaction.h, txn/builder.h,
 ///                    txn/validate.h, txn/schedule.h, txn/system.h,
-///                    txn/linear_extension.h, txn/text_format.h
+///                    txn/linear_extension.h, txn/text_format.h,
+///                    txn/lock_table.h (the one reader/writer lock table)
 ///   * geometry     — geometry/picture.h, geometry/curve.h,
 ///                    geometry/deadlock_geometry.h
 ///   * analysis     — analysis/diagnostic.h, analysis/pass.h,
@@ -32,8 +33,7 @@
 ///                    core/policy.h, core/protocols.h, core/paper.h
 ///   * reduction    — sat/cnf.h, sat/solver.h, sat/normalize.h,
 ///                    sat/reduction.h (Theorem 3)
-///   * simulation   — sim/lock_manager.h, sim/scheduler.h, sim/executor.h,
-///                    sim/workload.h
+///   * simulation   — sim/scheduler.h, sim/executor.h, sim/workload.h
 ///   * observability— obs/trace.h (RAII spans + Chrome trace_event
 ///                    export), obs/metrics.h (typed counter/gauge
 ///                    registry), obs/stats_sink.h (the one stats
@@ -83,12 +83,12 @@
 #include "sat/reduction.h"
 #include "sat/solver.h"
 #include "sim/executor.h"
-#include "sim/lock_manager.h"
 #include "sim/scheduler.h"
 #include "sim/workload.h"
 #include "txn/builder.h"
 #include "txn/catalog.h"
 #include "txn/linear_extension.h"
+#include "txn/lock_table.h"
 #include "txn/schedule.h"
 #include "txn/system.h"
 #include "txn/text_format.h"

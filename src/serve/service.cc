@@ -121,8 +121,6 @@ class SafetyService::Impl {
       sink->AddCounter(wire::kMetricServeClients, clients_opened_);
       sink->SetGauge(wire::kMetricServeQueuePeak,
                      static_cast<double>(queue_peak_));
-      sink->SetGauge(wire::kMetricServeQueueDepth,
-                     static_cast<double>(queue_.size()));
     }
     sink->AddCounter(wire::kMetricServeCommands, core_.commands());
     sink->AddCounter(wire::kMetricServeErrors, core_.errors());

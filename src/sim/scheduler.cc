@@ -1,65 +1,79 @@
 #include "sim/scheduler.h"
 
-#include "sim/lock_manager.h"
+#include "txn/lock_table.h"
 
 namespace dislock {
 
-RunResult SimulateRun(const TransactionSystem& system, Rng* rng) {
-  RunResult result;
-  const int k = system.NumTransactions();
-  DistributedLockManager locks(&system.db(), k);
+namespace {
 
-  // Remaining-predecessor counts per step.
-  std::vector<std::vector<int>> indegree(k);
-  int remaining = 0;
-  for (int i = 0; i < k; ++i) {
+/// Remaining-predecessor count of every step, per transaction. Executing a
+/// step sets its own count to -1.
+std::vector<std::vector<int>> Indegrees(const TransactionSystem& system) {
+  std::vector<std::vector<int>> indegree(system.NumTransactions());
+  for (int i = 0; i < system.NumTransactions(); ++i) {
     const Digraph& g = system.txn(i).order();
     indegree[i].assign(g.NumNodes(), 0);
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
       for (NodeId v : g.OutNeighbors(u)) ++indegree[i][v];
     }
-    remaining += g.NumNodes();
   }
+  return indegree;
+}
+
+/// Fills `enabled` with every step whose predecessors have all run and that
+/// the lock table lets fire, in (transaction, step) order, and `blocked`
+/// with every transaction that has a ready step the table holds back.
+void CollectEnabled(const TransactionSystem& system,
+                    const std::vector<std::vector<int>>& indegree,
+                    const LockTable& locks, std::vector<SysStep>* enabled,
+                    std::vector<int>* blocked) {
+  enabled->clear();
+  blocked->clear();
+  for (int i = 0; i < system.NumTransactions(); ++i) {
+    const Transaction& t = system.txn(i);
+    bool held_back = false;
+    for (StepId s = 0; s < t.NumSteps(); ++s) {
+      if (indegree[i][s] != 0) continue;
+      if (!locks.MayFire(i, t.GetStep(s))) {
+        held_back = true;
+        continue;
+      }
+      enabled->push_back({i, s});
+    }
+    if (held_back) blocked->push_back(i);
+  }
+}
+
+/// Executes `pick` against the lock table and the predecessor counts.
+void Execute(const TransactionSystem& system, SysStep pick, LockTable* locks,
+             std::vector<std::vector<int>>* indegree) {
+  const Transaction& t = system.txn(pick.txn);
+  locks->Fire(pick.txn, t.GetStep(pick.step));
+  (*indegree)[pick.txn][pick.step] = -1;
+  for (NodeId v : t.order().OutNeighbors(pick.step)) {
+    --(*indegree)[pick.txn][v];
+  }
+}
+
+}  // namespace
+
+RunResult SimulateRun(const TransactionSystem& system, Rng* rng) {
+  RunResult result;
+  LockTable locks(system.db().NumEntities(), system.NumTransactions());
+  std::vector<std::vector<int>> indegree = Indegrees(system);
+  int remaining = system.TotalSteps();
 
   Schedule schedule;
+  std::vector<SysStep> enabled;
+  std::vector<int> blocked;
   while (remaining > 0) {
-    // Collect enabled steps.
-    std::vector<SysStep> enabled;
-    for (int i = 0; i < k; ++i) {
-      const Transaction& t = system.txn(i);
-      for (StepId s = 0; s < t.NumSteps(); ++s) {
-        if (indegree[i][s] != 0) continue;
-        const Step& step = t.GetStep(s);
-        if (step.kind == StepKind::kLock &&
-            !locks.MayAcquire(step.entity, i, step.shared)) {
-          continue;
-        }
-        if (step.kind == StepKind::kUnlock) {
-          bool holds = step.shared ? locks.IsReading(step.entity, i)
-                                   : locks.WriterOf(step.entity) == i;
-          if (!holds) continue;
-        }
-        enabled.push_back({i, s});
-      }
-    }
+    CollectEnabled(system, indegree, locks, &enabled, &blocked);
     if (enabled.empty()) {
       result.deadlocked = true;
       return result;
     }
     SysStep pick = enabled[rng->Index(enabled.size())];
-    const Transaction& t = system.txn(pick.txn);
-    const Step& step = t.GetStep(pick.step);
-    if (step.kind == StepKind::kLock) {
-      Status st = locks.Acquire(step.entity, pick.txn, step.shared);
-      DISLOCK_CHECK(st.ok()) << st.ToString();
-    } else if (step.kind == StepKind::kUnlock) {
-      Status st = locks.Release(step.entity, pick.txn, step.shared);
-      DISLOCK_CHECK(st.ok()) << st.ToString();
-    }
-    indegree[pick.txn][pick.step] = -1;
-    for (NodeId v : t.order().OutNeighbors(pick.step)) {
-      --indegree[pick.txn][v];
-    }
+    Execute(system, pick, &locks, &indegree);
     schedule.Append(pick.txn, pick.step);
     ++result.steps_executed;
     --remaining;
@@ -71,49 +85,18 @@ RunResult SimulateRun(const TransactionSystem& system, Rng* rng) {
 RecoveryRunResult SimulateRunWithRecovery(const TransactionSystem& system,
                                           Rng* rng, int max_aborts) {
   RecoveryRunResult result;
-  const int k = system.NumTransactions();
-  DistributedLockManager locks(&system.db(), k);
-
-  std::vector<std::vector<int>> base_indegree(k);
-  std::vector<std::vector<int>> indegree(k);
-  int remaining = 0;
-  for (int i = 0; i < k; ++i) {
-    const Digraph& g = system.txn(i).order();
-    base_indegree[i].assign(g.NumNodes(), 0);
-    for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      for (NodeId v : g.OutNeighbors(u)) ++base_indegree[i][v];
-    }
-    indegree[i] = base_indegree[i];
-    remaining += g.NumNodes();
-  }
+  LockTable locks(system.db().NumEntities(), system.NumTransactions());
+  const std::vector<std::vector<int>> base_indegree = Indegrees(system);
+  std::vector<std::vector<int>> indegree = base_indegree;
+  int remaining = system.TotalSteps();
 
   std::vector<SysStep> events;  // includes aborted attempts, pruned later
   std::vector<bool> aborted_marker;
+  std::vector<SysStep> enabled;
+  std::vector<int> blocked;  // transactions blocked on a lock
 
   while (remaining > 0) {
-    std::vector<SysStep> enabled;
-    std::vector<int> blocked;  // transactions blocked on a lock
-    for (int i = 0; i < k; ++i) {
-      const Transaction& t = system.txn(i);
-      bool blocked_on_lock = false;
-      for (StepId s = 0; s < t.NumSteps(); ++s) {
-        if (indegree[i][s] != 0) continue;
-        const Step& step = t.GetStep(s);
-        if (step.kind == StepKind::kLock &&
-            !locks.MayAcquire(step.entity, i, step.shared)) {
-          blocked_on_lock = true;
-          continue;
-        }
-        if (step.kind == StepKind::kUnlock) {
-          bool holds = step.shared ? locks.IsReading(step.entity, i)
-                                   : locks.WriterOf(step.entity) == i;
-          if (!holds) continue;
-        }
-        enabled.push_back({i, s});
-      }
-      if (blocked_on_lock) blocked.push_back(i);
-    }
-
+    CollectEnabled(system, indegree, locks, &enabled, &blocked);
     if (enabled.empty()) {
       // Deadlock: abort a random blocked victim.
       if (blocked.empty() || result.aborts >= max_aborts) {
@@ -130,10 +113,9 @@ RecoveryRunResult SimulateRunWithRecovery(const TransactionSystem& system,
       }
       for (EntityId e : t.LockedEntities()) {
         StepId l = t.LockStep(e);
-        StepId u = t.UnlockStep(e);
-        if (indegree[victim][l] == -1 && indegree[victim][u] != -1) {
-          Status st = locks.Release(e, victim, t.GetStep(l).shared);
-          DISLOCK_CHECK(st.ok()) << st.ToString();
+        if (indegree[victim][l] == -1 &&
+            indegree[victim][t.UnlockStep(e)] != -1) {
+          locks.Unfire(victim, t.GetStep(l));
         }
       }
       indegree[victim] = base_indegree[victim];
@@ -146,19 +128,7 @@ RecoveryRunResult SimulateRunWithRecovery(const TransactionSystem& system,
     }
 
     SysStep pick = enabled[rng->Index(enabled.size())];
-    const Transaction& t = system.txn(pick.txn);
-    const Step& step = t.GetStep(pick.step);
-    if (step.kind == StepKind::kLock) {
-      Status st = locks.Acquire(step.entity, pick.txn, step.shared);
-      DISLOCK_CHECK(st.ok()) << st.ToString();
-    } else if (step.kind == StepKind::kUnlock) {
-      Status st = locks.Release(step.entity, pick.txn, step.shared);
-      DISLOCK_CHECK(st.ok()) << st.ToString();
-    }
-    indegree[pick.txn][pick.step] = -1;
-    for (NodeId v : t.order().OutNeighbors(pick.step)) {
-      --indegree[pick.txn][v];
-    }
+    Execute(system, pick, &locks, &indegree);
     events.push_back(pick);
     aborted_marker.push_back(false);
     ++result.steps_executed;

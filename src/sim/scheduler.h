@@ -23,8 +23,8 @@ struct RunResult {
 
 /// Simulates one concurrent execution of the system: repeatedly picks a
 /// uniformly random *enabled* step (all its transaction predecessors done,
-/// and — for lock steps — the site's lock table grants it) and executes it
-/// against per-site lock managers. Runs until all steps are done or
+/// and the lock table lets it fire) and executes it against the one
+/// LockTable (txn/lock_table.h). Runs until all steps are done or
 /// everything is blocked.
 ///
 /// This is the operational counterpart of the paper's schedules: every

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/topological.h"
+#include "txn/lock_table.h"
 #include "util/string_util.h"
 
 namespace dislock {
@@ -261,7 +262,10 @@ class ScheduleEnumerator {
  public:
   ScheduleEnumerator(const TransactionSystem& system, int64_t max_schedules,
                      const ScheduleVisitor& visit)
-      : system_(system), budget_(max_schedules), visit_(visit) {
+      : system_(system),
+        budget_(max_schedules),
+        visit_(visit),
+        locks_(system.db().NumEntities(), system.NumTransactions()) {
     const int k = system.NumTransactions();
     indegree_.resize(k);
     total_steps_ = 0;
@@ -273,10 +277,6 @@ class ScheduleEnumerator {
       }
       total_steps_ += g.NumNodes();
     }
-    writer_.assign(system.db().NumEntities(), -1);
-    reader_count_.assign(system.db().NumEntities(), 0);
-    reading_.assign(system.db().NumEntities(),
-                    std::vector<char>(system.NumTransactions(), 0));
   }
 
   /// Returns false when stopped early (visitor said stop, or budget hit).
@@ -286,56 +286,6 @@ class ScheduleEnumerator {
   int64_t deadlock_dead_ends() const { return deadlocks_; }
 
  private:
-  bool StepEnabled(int i, StepId s) const {
-    if (indegree_[i][s] != 0) return false;
-    const Step& step = system_.txn(i).GetStep(s);
-    if (step.kind == StepKind::kLock) {
-      if (writer_[step.entity] != -1) return false;
-      return step.shared || reader_count_[step.entity] == 0;
-    }
-    if (step.kind == StepKind::kUnlock) {
-      return step.shared ? reading_[step.entity][i] != 0
-                         : writer_[step.entity] == i;
-    }
-    return true;
-  }
-
-  void Apply(int i, const Step& step) {
-    if (step.kind == StepKind::kLock) {
-      if (step.shared) {
-        reading_[step.entity][i] = 1;
-        ++reader_count_[step.entity];
-      } else {
-        writer_[step.entity] = i;
-      }
-    } else if (step.kind == StepKind::kUnlock) {
-      if (step.shared) {
-        reading_[step.entity][i] = 0;
-        --reader_count_[step.entity];
-      } else {
-        writer_[step.entity] = -1;
-      }
-    }
-  }
-
-  void Undo(int i, const Step& step) {
-    if (step.kind == StepKind::kLock) {
-      if (step.shared) {
-        reading_[step.entity][i] = 0;
-        --reader_count_[step.entity];
-      } else {
-        writer_[step.entity] = -1;
-      }
-    } else if (step.kind == StepKind::kUnlock) {
-      if (step.shared) {
-        reading_[step.entity][i] = 1;
-        ++reader_count_[step.entity];
-      } else {
-        writer_[step.entity] = i;
-      }
-    }
-  }
-
   bool Dfs() {
     if (static_cast<int>(prefix_.size()) == total_steps_) {
       if (budget_ <= 0) {
@@ -349,11 +299,11 @@ class ScheduleEnumerator {
     for (int i = 0; i < system_.NumTransactions(); ++i) {
       const Transaction& t = system_.txn(i);
       for (StepId s = 0; s < t.NumSteps(); ++s) {
-        if (!StepEnabled(i, s)) continue;
+        const Step& step = t.GetStep(s);
+        if (indegree_[i][s] != 0 || !locks_.MayFire(i, step)) continue;
         any = true;
         // Emit step s of txn i.
-        const Step& step = t.GetStep(s);
-        Apply(i, step);
+        locks_.Fire(i, step);
         indegree_[i][s] = -1;
         for (NodeId v : t.order().OutNeighbors(s)) --indegree_[i][v];
         prefix_.push_back({i, s});
@@ -363,7 +313,7 @@ class ScheduleEnumerator {
         prefix_.pop_back();
         for (NodeId v : t.order().OutNeighbors(s)) ++indegree_[i][v];
         indegree_[i][s] = 0;
-        Undo(i, step);
+        locks_.Unfire(i, step);
         if (!keep_going) return false;
       }
     }
@@ -375,9 +325,7 @@ class ScheduleEnumerator {
   int64_t budget_;
   const ScheduleVisitor& visit_;
   std::vector<std::vector<int>> indegree_;
-  std::vector<int> writer_;
-  std::vector<int> reader_count_;
-  std::vector<std::vector<char>> reading_;
+  LockTable locks_;
   std::vector<SysStep> prefix_;
   int total_steps_ = 0;
   int64_t deadlocks_ = 0;

@@ -45,6 +45,12 @@ class Schedule {
 /// Checks that `schedule` is a legal schedule of `system`: every step occurs
 /// exactly once, all partial orders are respected, each lock is taken only
 /// when free and released only by its holder.
+///
+/// The lock replay here deliberately does not use LockTable
+/// (txn/lock_table.h), which every schedule generator runs on (the deadlock
+/// search, the enumerator, the simulator). This is the independent checker
+/// of their output — certificate verification and the tests call it — and
+/// a checker sharing the generators' rule would agree with its bugs.
 Status CheckScheduleLegal(const TransactionSystem& system,
                           const Schedule& schedule);
 

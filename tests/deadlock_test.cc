@@ -1,9 +1,11 @@
 // Tests for deadlock analysis: reachable-state search, waits-for graphs,
 // the ordered-acquisition sufficient condition, and cross-validation
-// against the randomized scheduler.
+// against the randomized scheduler, the schedule enumerator and the
+// independent legality checker.
 
 #include <gtest/gtest.h>
 
+#include "analysis/pass.h"
 #include "core/deadlock.h"
 #include "core/paper.h"
 #include "core/policy.h"
@@ -125,6 +127,96 @@ TEST(Deadlock, SearchAgreesWithSimulatorOnRandomSystems) {
   }
   EXPECT_GT(free_seen, 3);
   EXPECT_GT(deadlocking_seen, 3);
+}
+
+// Every schedule generator runs on the one LockTable; CheckScheduleLegal
+// keeps its own replay. On random systems mixing shared and exclusive
+// sections the two must agree: the search reports a deadlock iff
+// exhaustive enumeration meets a dead end, every enumerated and every
+// completed simulated schedule is legal, and every DL201 witness replays.
+TEST(Deadlock, LockTableGeneratorsAgreeWithTheIndependentChecker) {
+  Rng rng(2020);
+  PassManager deadlock_pass;
+  ASSERT_TRUE(deadlock_pass.Add("deadlock").ok());
+  int compared = 0;
+  int free_seen = 0;
+  int deadlocking_seen = 0;
+  int with_shared = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    WorkloadParams params;
+    params.num_sites = 1 + (trial % 2);
+    params.num_transactions = 2 + (trial % 3 == 0 ? 1 : 0);
+    params.num_entities = params.num_transactions == 3 ? 2 : 3;
+    params.lock_probability = 1.0;
+    params.update_probability = 0.5;
+    params.shared_probability = 0.4;
+    params.cross_site_arcs = 1;
+    Workload w = MakeRandomWorkload(params, &rng);
+    const TransactionSystem& system = *w.system;
+    SCOPED_TRACE(system.ToString());
+
+    auto report = AnalyzeDeadlockFreedom(system, 1 << 16);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    int64_t dead_ends = 0;
+    Status enumerated = EnumerateSchedules(
+        system, 100000,
+        [&](const Schedule& h) {
+          Status legal = CheckScheduleLegal(system, h);
+          EXPECT_TRUE(legal.ok()) << legal.ToString();
+          return legal.ok();
+        },
+        &dead_ends);
+    if (enumerated.ok()) {
+      ++compared;
+      EXPECT_EQ(report->deadlock_free, dead_ends == 0);
+    }
+    if (report->deadlock_free) {
+      ++free_seen;
+    } else {
+      ++deadlocking_seen;
+    }
+
+    AnalysisResult result = deadlock_pass.Run(system);
+    ASSERT_TRUE(result.deadlock.has_value());
+    ASSERT_TRUE(result.deadlock->ok());
+    EXPECT_EQ((*result.deadlock)->states_explored, report->states_explored);
+    int witnesses = 0;
+    for (const Diagnostic& d : result.diagnostics) {
+      if (d.rule != "DL201") continue;
+      ++witnesses;
+      ASSERT_TRUE(d.deadlock_certificate.has_value());
+      Status replayed = VerifyDeadlockWitness(system, *d.deadlock_certificate);
+      EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+    }
+    EXPECT_EQ(witnesses, report->deadlock_free ? 0 : 1);
+
+    for (int r = 0; r < 20; ++r) {
+      RunResult run = SimulateRun(system, &rng);
+      if (run.schedule.has_value()) {
+        Status legal = CheckScheduleLegal(system, *run.schedule);
+        EXPECT_TRUE(legal.ok()) << legal.ToString();
+      }
+      RecoveryRunResult recovered = SimulateRunWithRecovery(system, &rng);
+      if (recovered.schedule.has_value()) {
+        Status legal = CheckScheduleLegal(system, *recovered.schedule);
+        EXPECT_TRUE(legal.ok()) << legal.ToString();
+      }
+    }
+
+    for (int i = 0; i < system.NumTransactions(); ++i) {
+      const Transaction& t = system.txn(i);
+      bool shared = false;
+      for (StepId s = 0; s < t.NumSteps(); ++s) shared |= t.GetStep(s).shared;
+      if (shared) {
+        ++with_shared;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(compared, 30);
+  EXPECT_GT(free_seen, 3);
+  EXPECT_GT(deadlocking_seen, 3);
+  EXPECT_GT(with_shared, 10);
 }
 
 TEST(Deadlock, DeadPrefixIsReplayable) {

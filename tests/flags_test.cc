@@ -1,15 +1,22 @@
 // Unit tests for the shared tool flag parser (util/flags.h): both
 // spellings of every common flag, the accepted-set gating, the error
-// paths, and the help text that all three tools embed.
+// paths, and the help text that all three tools embed. The tool-running
+// cases at the end also pin what `dislock analyze` prints for its one
+// deadlock search.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/decision/config.h"
+#include "gen/family.h"
+#include "txn/text_format.h"
 #include "util/flags.h"
 
 namespace dislock {
@@ -321,6 +328,81 @@ TEST(Flags, ToolsRejectTheRemovedShardsFlag) {
         << c.command << "\n"
         << output;
   }
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+int CountOccurrences(const std::string& text, const std::string& needle) {
+  int count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// `dislock analyze` searches the reachable lock states once: the deadlock
+// block renders the `deadlock` pass's own search.
+TEST(Flags, AnalyzeRunsOneDeadlockSearch) {
+  const std::string trace = testing::TempDir() + "analyze_fig4.trace.json";
+  std::string output;
+  ASSERT_EQ(RunTool(std::string(DISLOCK_CLI_BIN) + " analyze " +
+                        DISLOCK_SOURCE_DIR + "/data/fig4.dlk --trace=" +
+                        trace,
+                    &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("deadlock: reachable after prefix"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(CountOccurrences(ReadWholeFile(trace),
+                             "\"name\": \"deadlock.search\""),
+            1);
+
+  // Without the `deadlock` pass there is no search and so no block.
+  output.clear();
+  ASSERT_EQ(RunTool(std::string(DISLOCK_CLI_BIN) + " analyze " +
+                        DISLOCK_SOURCE_DIR +
+                        "/data/fig4.dlk --passes pair-safety --trace=" + trace,
+                    &output),
+            0)
+      << output;
+  EXPECT_EQ(output.find("deadlock:"), std::string::npos) << output;
+  EXPECT_EQ(CountOccurrences(ReadWholeFile(trace), "deadlock.search"), 0);
+}
+
+// A system whose reachable states overrun max_deadlock_states gets the
+// pass's answer: DL206, no JSON deadlock block, and the pass's status on
+// the text deadlock line.
+TEST(Flags, AnalyzeOverTheStateBudgetReportsThePassVerdict) {
+  auto workload = gen::BuildFamily("sat_gadget", {{"vars", 8}});
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const std::string path = testing::TempDir() + "sat_gadget_vars8.dlk";
+  {
+    std::ofstream out(path);
+    out << SystemToText(*workload->system);
+  }
+  const std::string exceeded = "deadlock search exceeded " +
+                               std::to_string(EngineConfig{}.max_deadlock_states) +
+                               " states";
+  const std::string analyze = std::string(DISLOCK_CLI_BIN) + " analyze " + path;
+
+  std::string json;
+  ASSERT_EQ(RunTool(analyze + " --json", &json), 0) << json;
+  EXPECT_NE(json.find("\"DL206\""), std::string::npos) << json;
+  EXPECT_NE(json.find(exceeded), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"deadlock\":"), std::string::npos) << json;
+
+  std::string text;
+  ASSERT_EQ(RunTool(analyze, &text), 0) << text;
+  EXPECT_NE(text.find("deadlock: ResourceExhausted: " + exceeded + "\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the simulation substrate: lock managers, the random scheduler,
+// Tests for the simulation substrate: the lock table, the random scheduler,
 // symbolic execution, Monte-Carlo sampling, and the workload generators.
 
 #include <gtest/gtest.h>
@@ -6,37 +6,69 @@
 #include "core/paper.h"
 #include "core/policy.h"
 #include "sim/executor.h"
-#include "sim/lock_manager.h"
 #include "sim/scheduler.h"
 #include "core/safety.h"
 #include "sim/workload.h"
 #include "txn/builder.h"
 #include "txn/linear_extension.h"
+#include "txn/lock_table.h"
 #include "util/string_util.h"
 
 namespace dislock {
 namespace {
 
-TEST(LockManager, AcquireReleaseCycle) {
-  DistributedDatabase db(2);
-  EntityId x = db.MustAddEntity("x", 0);
-  EntityId y = db.MustAddEntity("y", 1);
-  DistributedLockManager locks(&db, /*num_txns=*/2);
-  EXPECT_TRUE(locks.Acquire(x, 0).ok());
-  EXPECT_FALSE(locks.Acquire(x, 1).ok());  // held
-  EXPECT_TRUE(locks.MayUpdate(x, 0));
-  EXPECT_FALSE(locks.MayUpdate(x, 1));
-  EXPECT_FALSE(locks.Release(x, 1).ok());  // not the holder
-  EXPECT_TRUE(locks.Release(x, 0).ok());
-  EXPECT_TRUE(locks.Acquire(x, 1).ok());
-  EXPECT_TRUE(locks.Acquire(y, 0).ok());  // different site, independent
-}
+TEST(LockTable, AcquireReleaseCycle) {
+  const EntityId x = 0;
+  const EntityId y = 1;
+  const Step lock_x{StepKind::kLock, x};
+  const Step unlock_x{StepKind::kUnlock, x};
+  const Step update_x{StepKind::kUpdate, x};
+  const Step write_y{StepKind::kLock, y};
+  const Step read_y{StepKind::kLock, y, /*shared=*/true};
+  const Step unread_y{StepKind::kUnlock, y, /*shared=*/true};
+  LockTable locks(/*num_entities=*/2, /*num_txns=*/3);
 
-TEST(LockManager, SiteRoutingRejectsForeignEntities) {
-  DistributedDatabase db(2);
-  EntityId x = db.MustAddEntity("x", 0);
-  SiteLockManager site1(&db, 1, /*num_txns=*/2);
-  EXPECT_FALSE(site1.Acquire(x, 0).ok());  // x lives at site 0
+  // Exclusive: one holder, released only by it.
+  ASSERT_TRUE(locks.MayFire(0, lock_x));
+  locks.Fire(0, lock_x);
+  EXPECT_EQ(locks.WriterOf(x), 0);
+  EXPECT_FALSE(locks.MayFire(1, lock_x));    // held
+  EXPECT_FALSE(locks.MayFire(1, unlock_x));  // not the holder
+  EXPECT_TRUE(locks.MayFire(1, update_x));   // updates always may fire
+  EXPECT_TRUE(locks.MayFire(1, write_y));    // another entity, independent
+  ASSERT_TRUE(locks.MayFire(0, unlock_x));
+  locks.Fire(0, unlock_x);
+  EXPECT_EQ(locks.WriterOf(x), LockTable::kFree);
+  locks.Unfire(0, unlock_x);  // undoing the unlock takes x back
+  EXPECT_EQ(locks.WriterOf(x), 0);
+  locks.Unfire(0, lock_x);  // undoing the lock frees it
+  EXPECT_TRUE(locks.MayFire(1, lock_x));
+
+  // Shared: readers share; a writer waits for every one of them.
+  locks.Fire(0, read_y);
+  ASSERT_TRUE(locks.MayFire(1, read_y));
+  locks.Fire(1, read_y);
+  EXPECT_EQ(locks.ReaderCount(y), 2);
+  EXPECT_TRUE(locks.IsReading(y, 1));
+  EXPECT_FALSE(locks.MayFire(2, write_y));
+  EXPECT_FALSE(locks.MayFire(2, unread_y));  // holds no read lock
+  locks.Fire(0, unread_y);
+  EXPECT_FALSE(locks.MayFire(2, write_y));  // the second reader remains
+  locks.Unfire(1, read_y);                  // an abort releases it
+  EXPECT_EQ(locks.ReaderCount(y), 0);
+  ASSERT_TRUE(locks.MayFire(2, write_y));
+  locks.Fire(2, write_y);
+  EXPECT_FALSE(locks.MayFire(0, read_y));  // a writer excludes readers
+
+  // Reset frees everything.
+  locks.Fire(1, lock_x);
+  locks.Reset();
+  for (EntityId e : {x, y}) {
+    EXPECT_EQ(locks.WriterOf(e), LockTable::kFree);
+    EXPECT_EQ(locks.ReaderCount(e), 0);
+    for (int t = 0; t < 3; ++t) EXPECT_FALSE(locks.IsReading(e, t));
+  }
+  EXPECT_TRUE(locks.MayFire(2, write_y));
 }
 
 TEST(Scheduler, CompletedRunsAreLegalSchedules) {

@@ -242,7 +242,6 @@ TEST(WireKeys, ServeMetricNamesArePinned) {
   EXPECT_STREQ(wire::kMetricServeClients, "serve.clients");
   EXPECT_STREQ(wire::kMetricServeErrors, "serve.errors");
   EXPECT_STREQ(wire::kMetricServeQueuePeak, "serve.queue_peak");
-  EXPECT_STREQ(wire::kMetricServeQueueDepth, "serve.queue_depth");
 }
 
 // The stats line is one valid versioned JSON object with exactly the

@@ -67,7 +67,6 @@
 #include "gen/trace.h"
 #include "obs/observability.h"
 #include "serve/server.h"
-#include "obs/trace.h"
 #include "sat/normalize.h"
 #include "sat/reduction.h"
 #include "sat/solver.h"
@@ -234,10 +233,11 @@ int Analyze(const AnalyzeArgs& args) {
     ExportRepairStats(*result.repair, bundle.metrics());
   }
   const int rc = FailOnExitCode(result, args.fail_on);
-  auto run_deadlock = [&] {
-    obs::TraceSpan span(bundle.trace(), wire::kSpanDeadlock);
-    return AnalyzeDeadlockFreedom(system, 1 << 20);
-  };
+  // The deadlock block renders the `deadlock` pass's own search; it is
+  // absent under --no-deadlock or when that pass did not run.
+  const Result<DeadlockReport>* deadlock =
+      args.deadlock && result.deadlock.has_value() ? &*result.deadlock
+                                                   : nullptr;
 
   if (args.common.format == "sarif") {
     SarifArtifact artifact;
@@ -255,12 +255,9 @@ int Analyze(const AnalyzeArgs& args) {
                 system.NumTransactions(), parsed->db->NumEntities(),
                 parsed->db->NumSites(), system.TotalSteps(),
                 DiagnosticsToJson(result, system).c_str());
-    if (args.deadlock) {
-      auto deadlock = run_deadlock();
-      if (deadlock.ok()) {
-        std::printf(", \"deadlock\": %s",
-                    DeadlockReportToJson(*deadlock, system).c_str());
-      }
+    if (deadlock != nullptr && deadlock->ok()) {
+      std::printf(", \"deadlock\": %s",
+                  DeadlockReportToJson(**deadlock, system).c_str());
     }
     std::printf("}\n");
     finish();
@@ -272,18 +269,16 @@ int Analyze(const AnalyzeArgs& args) {
               parsed->db->NumSites(), system.TotalSteps());
   std::printf("%s", DiagnosticsToText(result, system).c_str());
 
-  if (args.deadlock) {
-    auto deadlock = run_deadlock();
-    if (deadlock.ok()) {
-      if (deadlock->deadlock_free) {
-        std::printf("deadlock: none reachable (%lld states explored)\n",
-                    static_cast<long long>(deadlock->states_explored));
-      } else {
-        std::printf("deadlock: reachable after prefix %s\n",
-                    deadlock->dead_prefix->ToString(system).c_str());
-      }
+  if (deadlock != nullptr) {
+    const Result<DeadlockReport>& dl = *deadlock;
+    if (!dl.ok()) {
+      std::printf("deadlock: %s\n", dl.status().ToString().c_str());
+    } else if (dl->deadlock_free) {
+      std::printf("deadlock: none reachable (%lld states explored)\n",
+                  static_cast<long long>(dl->states_explored));
     } else {
-      std::printf("deadlock: %s\n", deadlock.status().ToString().c_str());
+      std::printf("deadlock: reachable after prefix %s\n",
+                  dl->dead_prefix->ToString(system).c_str());
     }
   }
   finish();
