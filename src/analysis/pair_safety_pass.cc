@@ -85,7 +85,7 @@ class PairSafetyPass : public AnalysisPass {
             " site(s) could not be decided within budget (this regime is "
             "coNP-complete, Theorem 3): ", report.detail);
         d.fix_hint =
-            "raise EngineConfig budgets (max_dominators, max_sat_decisions, "
+            "raise EngineConfig budgets (max_dominators, "
             "max_extension_pairs) or reduce the number of sites the pair "
             "spans";
         break;

@@ -29,8 +29,11 @@ using AnalysisOptions = EngineConfig;
 /// Shared state handed to every pass: the system under analysis, the
 /// EngineContext owning the run's thread pool / verdict cache /
 /// cancellation token, and memoized results of the expensive decision
-/// procedures, so that e.g. the pair-safety pass and the system-safety pass
-/// never re-run AnalyzePairSafety on the same pair.
+/// procedures, so that no two passes re-run the same one. The memos are
+/// separate: MultiReport()'s AnalyzeMultiSafety decides each conflicting
+/// pair again rather than reading PairReport()'s, so with three or more
+/// transactions every such pair runs the pipeline twice (the second time
+/// through the verdict cache, when one is configured).
 class AnalysisContext {
  public:
   AnalysisContext(const TransactionSystem& system,

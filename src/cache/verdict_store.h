@@ -25,7 +25,7 @@ inline constexpr uint32_t kVerdictStoreSchemaVersion = 1;
 /// DecisionMethod numbering, or the decision procedure's verdict contract
 /// changes. A store stamped with a different generation warm-loads as
 /// empty — stale verdicts are dropped wholesale, never reinterpreted.
-inline constexpr uint32_t kVerdictStoreGeneration = 1;
+inline constexpr uint32_t kVerdictStoreGeneration = 2;
 
 /// File names inside the cache directory, for tools and tests that need to
 /// inspect (or deliberately corrupt) a store from outside.

@@ -48,12 +48,11 @@ bool TotalOrderPairSafe(const std::vector<CommonEntity>& common,
   return IsStronglyConnected(d);
 }
 
-std::vector<int> PositionsOf(const std::vector<StepId>& order) {
-  std::vector<int> pos(order.size(), 0);
+void PositionsOf(const std::vector<StepId>& order, std::vector<int>* pos) {
+  pos->resize(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
-    pos[order[i]] = static_cast<int>(i);
+    (*pos)[order[i]] = static_cast<int>(i);
   }
-  return pos;
 }
 
 }  // namespace
@@ -65,36 +64,35 @@ Result<ExhaustiveResult> ExhaustivePairSafety(const Transaction& t1,
   result.safe = true;
   std::vector<CommonEntity> common = CommonEntities(t1, t2);
 
-  // Materialize t2's extensions and their position arrays once; t1's
-  // extensions stream through the enumerator.
-  std::vector<std::vector<StepId>> ext2;
-  std::vector<std::vector<int>> pos2;
-  Status st2 = EnumerateLinearExtensions(
-      t2, max_pairs, [&](const std::vector<StepId>& order) {
-        ext2.push_back(order);
-        pos2.push_back(PositionsOf(order));
-        return true;
-      });
-  DISLOCK_RETURN_NOT_OK(st2);
+  // t2's extensions are re-enumerated inside each extension of t1 rather
+  // than stored, so memory stays O(steps) however many pairs the budget
+  // allows. A counting pass first rejects a t2 with more than max_pairs
+  // extensions before any pair is examined.
+  DISLOCK_RETURN_NOT_OK(EnumerateLinearExtensions(
+      t2, max_pairs, [](const std::vector<StepId>&) { return true; }));
 
   bool exhausted = false;
+  std::vector<int> pos1, pos2;
   std::vector<StepId> unsafe_order1, unsafe_order2;
   Status st1 = EnumerateLinearExtensions(
       t1, max_pairs, [&](const std::vector<StepId>& order1) {
-        std::vector<int> pos1 = PositionsOf(order1);
-        for (size_t i = 0; i < ext2.size(); ++i) {
-          if (result.combinations_checked >= max_pairs) {
-            exhausted = true;
-            return false;
-          }
-          ++result.combinations_checked;
-          if (TotalOrderPairSafe(common, pos1, pos2[i])) continue;
-          result.safe = false;
-          unsafe_order1 = order1;
-          unsafe_order2 = ext2[i];
-          return false;
-        }
-        return true;
+        PositionsOf(order1, &pos1);
+        // Within the cap: the counting pass saw at most max_pairs.
+        (void)EnumerateLinearExtensions(
+            t2, max_pairs, [&](const std::vector<StepId>& order2) {
+              if (result.combinations_checked >= max_pairs) {
+                exhausted = true;
+                return false;
+              }
+              ++result.combinations_checked;
+              PositionsOf(order2, &pos2);
+              if (TotalOrderPairSafe(common, pos1, pos2)) return true;
+              result.safe = false;
+              unsafe_order1 = order1;
+              unsafe_order2 = order2;
+              return false;
+            });
+        return result.safe && !exhausted;
       });
   DISLOCK_RETURN_NOT_OK(st1);
   if (!result.safe) {

@@ -27,7 +27,9 @@ struct ExhaustiveResult {
 /// (t1, t2) and tests each totally ordered pair exactly — for total orders
 /// strong connectivity of D(t1, t2) is necessary and sufficient (Section 3).
 /// Exact for ANY number of sites but exponential; `max_pairs` bounds the
-/// number of extension pairs (ResourceExhausted beyond it).
+/// number of extension pairs (ResourceExhausted beyond it), and also the
+/// extensions of either transaction alone. Extensions are streamed, never
+/// stored, so memory stays O(steps) at any budget.
 Result<ExhaustiveResult> ExhaustivePairSafety(const Transaction& t1,
                                               const Transaction& t2,
                                               int64_t max_pairs);

@@ -1,6 +1,7 @@
 #include "core/certificate.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -42,6 +43,21 @@ Result<Schedule> SeparateByPartition(const PairPicture& pic,
     return Status::NotFound("no curve separates this partition");
   }
   return CurveToSchedule(pic, curve.value());
+}
+
+/// Streams the first 512 dominators of `d`, as entity sets, to `accept`;
+/// true at the first it accepts.
+bool AnyDominator(const ConflictGraph& d,
+                  const std::function<bool(const std::set<EntityId>&)>& accept) {
+  int64_t seen = 0;
+  bool found = false;
+  EnumerateDominators(d.graph, [&](const std::vector<NodeId>& dom_nodes) {
+    std::set<EntityId> x_set;
+    for (NodeId v : dom_nodes) x_set.insert(d.entities[v]);
+    found = accept(x_set);
+    return !found && ++seen < 512;
+  });
+  return found;
 }
 
 }  // namespace
@@ -119,16 +135,13 @@ Result<UnsafetyCertificate> BuildUnsafetyCertificate(
   if (!schedule.ok()) {
     // Fallback: the paper shows two total orders are closed with respect to
     // ANY dominator of their own D graph, so search those.
-    ConflictGraph d = BuildConflictGraph(cert.t1, cert.t2);
-    for (const auto& dom_nodes : AllDominators(d.graph, 512)) {
-      std::set<EntityId> alt;
-      for (NodeId v : dom_nodes) alt.insert(d.entities[v]);
-      schedule = SeparateByPartition(pic, alt);
-      if (schedule.ok()) {
-        cert.dominator.assign(alt.begin(), alt.end());
-        break;
-      }
-    }
+    AnyDominator(BuildConflictGraph(cert.t1, cert.t2),
+                 [&](const std::set<EntityId>& alt) {
+                   schedule = SeparateByPartition(pic, alt);
+                   if (!schedule.ok()) return false;
+                   cert.dominator.assign(alt.begin(), alt.end());
+                   return true;
+                 });
   }
   if (!schedule.ok()) {
     return Status::Undecided(
@@ -162,16 +175,17 @@ Result<UnsafetyCertificate> BuildCertificateFromExtensions(
     return Status::NotFound(
         "D(t1, t2) is strongly connected; this total-order pair is safe");
   }
-  for (const auto& dom_nodes : AllDominators(d.graph, 512)) {
-    std::set<EntityId> x_set;
-    for (NodeId v : dom_nodes) x_set.insert(d.entities[v]);
+  const bool found = AnyDominator(d, [&](const std::set<EntityId>& x_set) {
     auto schedule = SeparateByPartition(pic, x_set);
-    if (!schedule.ok()) continue;
+    if (!schedule.ok()) return false;
     cert.dominator.assign(x_set.begin(), x_set.end());
     cert.schedule = std::move(schedule).value();
     auto separation = FindSeparation(pic, cert.schedule);
-    if (!separation.has_value()) continue;
+    if (!separation.has_value()) return false;
     cert.separation = *separation;
+    return true;
+  });
+  if (found) {
     DISLOCK_RETURN_NOT_OK(VerifyUnsafetyCertificate(t1, t2, cert));
     return cert;
   }

@@ -26,18 +26,14 @@ struct EngineConfig {
   /// extensions); 0 disables the stage.
   int64_t max_extension_pairs = 1 << 20;
 
-  /// How many dominators the Corollary 2 closure stage enumerates on pairs
-  /// spanning three or more sites. When the enumeration is complete (the
-  /// pair has at most this many dominators) the closure loop decides safety
-  /// EXACTLY — this knob is the "2^n" of the coNP-complete regime.
-  int64_t max_dominators = 1024;
-
-  /// Cumulative DPLL decision budget for the SAT-exhaustive stage, which
-  /// routes src/sat/ (cnf + solver) into the >= 3-site fallback: dominators
-  /// of D are enumerated as models of a predecessor-closure CNF and each
-  /// model's closure is tested. 0 disables the stage (restoring the
-  /// pre-pipeline cascade exactly).
-  int64_t max_sat_decisions = 1 << 20;
+  /// How many dominators the Corollary 2 closure stage closes on pairs
+  /// spanning three or more sites — the one budget of the dominator
+  /// search. When the enumeration is complete (the pair has at most this
+  /// many dominators) the closure loop decides safety EXACTLY — this knob
+  /// is the "2^n" of the coNP-complete regime. At about 0.1 ms per
+  /// closure the default bounds an undecided pair to about ten seconds
+  /// (docs/pipeline.md has the measurements).
+  int64_t max_dominators = 1 << 16;
 
   // ---- System-level budgets (Proposition 2 / AnalyzeMultiSafety) ----
 

@@ -13,12 +13,11 @@ enum class DecisionMethod {
   kTheorem2,           ///< the complete <= 2-site procedure
   kCorollary2,         ///< a dominator's closure converged -> unsafe
   kDominatorClosure,   ///< every dominator provably fails -> safe
-  kSatExhaustive,      ///< SAT-guided dominator enumeration (src/sat/)
   kExhaustive,         ///< Lemma 1 enumeration of extension pairs
 };
 
 /// Stable wire name: "none", "theorem-1", "theorem-2", "corollary-2",
-/// "dominator-closure", "sat-exhaustive", "exhaustive". These strings are
+/// "dominator-closure", "exhaustive". These strings are
 /// part of the JSON/report contract (golden-tested).
 const char* DecisionMethodName(DecisionMethod method);
 

@@ -26,7 +26,6 @@ DecisionPipeline DecisionPipeline::MakeDefault() {
   pipeline.Add(MakeTheorem1SccStage());
   pipeline.Add(MakeTheorem2TwoSiteStage());
   pipeline.Add(MakeCorollary2ClosureStage());
-  pipeline.Add(MakeSatExhaustiveStage());
   pipeline.Add(MakeBruteForceLemma1Stage());
   return pipeline;
 }

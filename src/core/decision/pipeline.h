@@ -18,19 +18,19 @@ namespace dislock {
 /// The default pipeline is the paper's solver cascade:
 ///   1. Theorem1Scc        — sufficient SCC test, any number of sites
 ///   2. Theorem2TwoSite    — complete at <= 2 sites (terminal when it runs)
-///   3. Corollary2Closure  — dominator-closure loop, exact when the
-///                           enumeration covers all dominators
-///   4. SatExhaustive      — SAT-guided dominator enumeration (src/sat/)
-///   5. BruteForceLemma1   — exhaustive extension-pair fallback
+///   3. Corollary2Closure  — the dominator search: streams dominators and
+///                           closes each, exact when the enumeration
+///                           covers all of them within max_dominators
+///   4. BruteForceLemma1   — exhaustive extension-pair fallback
 class DecisionPipeline {
  public:
   DecisionPipeline() = default;
 
-  /// The five registered stages in default order (shared instance; stages
+  /// The four registered stages in default order (shared instance; stages
   /// are stateless so one pipeline serves every thread).
   static const DecisionPipeline& Default();
 
-  /// A fresh pipeline with the default five stages (for callers that want
+  /// A fresh pipeline with the default four stages (for callers that want
   /// to append custom procedures).
   static DecisionPipeline MakeDefault();
 

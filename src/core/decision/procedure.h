@@ -69,16 +69,10 @@ class DecisionProcedure {
                               EngineContext* ctx) const = 0;
 };
 
-/// Factories for the five registered stages, in default pipeline order.
+/// Factories for the four registered stages, in default pipeline order.
 std::unique_ptr<DecisionProcedure> MakeTheorem1SccStage();
 std::unique_ptr<DecisionProcedure> MakeTheorem2TwoSiteStage();
 std::unique_ptr<DecisionProcedure> MakeCorollary2ClosureStage();
-/// Routes src/sat/ into the safety engine: enumerates the dominators of D
-/// as models of a predecessor-closure CNF with the DPLL solver (blocking
-/// clauses between models) and runs the Lemma 2/3 closure on each — exact,
-/// like the Corollary 2 stage, whenever it terminates within
-/// config.max_sat_decisions.
-std::unique_ptr<DecisionProcedure> MakeSatExhaustiveStage();
 std::unique_ptr<DecisionProcedure> MakeBruteForceLemma1Stage();
 
 }  // namespace dislock

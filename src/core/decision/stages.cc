@@ -1,13 +1,8 @@
-// The five registered decision procedures. Theorem1Scc / Theorem2TwoSite /
-// Corollary2Closure / BruteForceLemma1 carry over the legacy
-// AnalyzePairSafety cascade verbatim (verdicts, methods and details are
-// preserved bit for bit); SatExhaustive is the stage that routes src/sat/
-// into the safety engine as a >= 3-site fallback.
+// The four registered decision procedures: Theorem1Scc, Theorem2TwoSite,
+// Corollary2Closure (the one dominator search) and BruteForceLemma1.
 
-#include <algorithm>
 #include <atomic>
 #include <future>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -16,15 +11,13 @@
 #include "core/wire_keys.h"
 #include "graph/dominator.h"
 #include "obs/trace.h"
-#include "sat/cnf.h"
-#include "sat/solver.h"
 #include "util/string_util.h"
 
 namespace dislock {
 namespace {
 
-/// Shared by the closure-based stages: the Lemma 2/3 closure run on one
-/// candidate dominator X (given as entity ids).
+/// The Lemma 2/3 closure run on one candidate dominator X (given as entity
+/// ids) by the dominator search.
 enum class ClosureOutcome {
   kProof,      // closure contradiction: X provably certifies nothing
   kUnproven,   // closure failed without a proof, or certificate failed
@@ -51,18 +44,6 @@ ClosureAttempt TryCloseDominator(const Transaction& t1, const Transaction& t2,
   auto cert = BuildUnsafetyCertificate(t1, t2, x, closed.value());
   if (!cert.ok()) return {ClosureOutcome::kUnproven, std::nullopt};
   return {ClosureOutcome::kCertified, std::move(cert).value()};
-}
-
-StageOutcome CertifiedOutcome(DecisionMethod method, std::string detail,
-                              ClosureAttempt attempt, int64_t work) {
-  StageOutcome out;
-  out.decided = true;
-  out.verdict = SafetyVerdict::kUnsafe;
-  out.method = method;
-  out.detail = std::move(detail);
-  out.certificate = std::move(attempt.certificate);
-  out.work = work;
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -143,6 +124,15 @@ class Theorem2TwoSiteStage : public DecisionProcedure {
 // dominators can be exponential — this is exactly where Theorem 3's
 // coNP-hardness lives (dominators of the reduction encode truth
 // assignments).
+//
+// Dominators stream from EnumerateDominators and each is closed as it
+// arrives, so the stage stops at the first that certifies and never holds
+// more than one batch. `max_dominators` is the one budget of the search.
+
+/// Dominators closed per pool fan-out. Each batch is a barrier: the first
+/// certifying index of the first batch that has one is exactly what the
+/// serial scan finds, so reports stay bit-identical at any thread count.
+constexpr size_t kClosureBatch = 128;
 
 class Corollary2ClosureStage : public DecisionProcedure {
  public:
@@ -161,98 +151,101 @@ class Corollary2ClosureStage : public DecisionProcedure {
   StageOutcome Decide(const Transaction& t1, const Transaction& t2,
                       const PairSafetyReport& draft,
                       EngineContext* ctx) const override {
-    const EngineConfig& config = ctx->config();
-    StageOutcome out;
+    const int64_t budget = ctx->config().max_dominators;
+    CancellationToken* token = ctx->cancel_token();
+    ThreadPool* pool = ctx->pool();
+    const size_t batch_size = pool != nullptr ? kClosureBatch : 1;
 
-    std::vector<std::vector<NodeId>> dominators = [&] {
-      obs::TraceSpan span(ctx->trace(), wire::kSpanClosureDominators);
-      return AllDominators(draft.d.graph, config.max_dominators + 1);
-    }();
-    bool enumeration_complete =
-        static_cast<int64_t>(dominators.size()) <= config.max_dominators;
-    if (!enumeration_complete) dominators.pop_back();
-    out.budget_exhausted = !enumeration_complete;
-
-    auto evaluate =
-        [&](const std::vector<NodeId>& dom_nodes) -> ClosureAttempt {
+    auto evaluate = [&](const std::vector<EntityId>& x) -> ClosureAttempt {
       // One span per closure run, from whichever thread runs it — this is
       // the loop the trace exists to make visible.
       obs::TraceSpan span(ctx->trace(), wire::kSpanClosureDominator);
-      return TryCloseDominator(t1, t2, draft.d.EntitiesOf(dom_nodes));
-    };
-    auto certified = [&](ClosureAttempt attempt, size_t winner) {
-      return CertifiedOutcome(
-          DecisionMethod::kCorollary2,
-          "system closes with respect to a dominator of D",
-          std::move(attempt), static_cast<int64_t>(winner) + 1);
+      return TryCloseDominator(t1, t2, x);
     };
 
-    // The per-dominator closure runs are independent, so with more than one
-    // worker they fan out over the shared work-stealing pool; the reduction
-    // picks the first certifying dominator in enumeration order (exactly
-    // what the serial scan reports) and cancels dominators past it, so the
-    // report is bit-identical at any thread count.
-    const size_t count = dominators.size();
-    CancellationToken* token = ctx->cancel_token();
-    ThreadPool* pool = ctx->pool();
+    std::vector<std::vector<EntityId>> batch;
+    std::vector<ClosureAttempt> results;
+    int64_t closed = 0;  // dominators closed in earlier batches, all failed
+    size_t first = 0;    // first certifying index of the pending batch
+    bool over_budget = false;
     bool all_failures_proven = true;
-    if (pool != nullptr && count > 1) {
-      std::vector<ClosureAttempt> results(count);
-      // Indices past the first certifying one are cancelled; their slots
-      // stay kUnproven but are never consulted by the reduction.
+
+    // Closes the pending batch. Returns false, leaving the batch in place,
+    // once one of it certifies or the analysis is cancelled.
+    auto close_batch = [&]() -> bool {
+      const size_t count = batch.size();
+      results.assign(count, ClosureAttempt{});
+      // Indices past the first certifying one are skipped; their slots
+      // stay kUnproven but are never consulted.
       std::atomic<size_t> first_certified{count};
-      std::vector<std::future<void>> futures;
-      futures.reserve(count);
-      for (size_t idx = 0; idx < count; ++idx) {
-        futures.push_back(pool->Submit([&, idx] {
-          if (token->cancelled() ||
-              idx > first_certified.load(std::memory_order_acquire)) {
-            return;
-          }
-          results[idx] = evaluate(dominators[idx]);
-          if (results[idx].outcome == ClosureOutcome::kCertified) {
-            size_t seen = first_certified.load(std::memory_order_acquire);
-            while (idx < seen &&
-                   !first_certified.compare_exchange_weak(
-                       seen, idx, std::memory_order_acq_rel)) {
-            }
-          }
-        }));
+      auto close = [&](size_t idx) {
+        if (token->cancelled() ||
+            idx > first_certified.load(std::memory_order_acquire)) {
+          return;
+        }
+        results[idx] = evaluate(batch[idx]);
+        if (results[idx].outcome != ClosureOutcome::kCertified) return;
+        size_t seen = first_certified.load(std::memory_order_acquire);
+        while (idx < seen && !first_certified.compare_exchange_weak(
+                                 seen, idx, std::memory_order_acq_rel)) {
+        }
+      };
+      if (pool != nullptr && count > 1) {
+        std::vector<std::future<void>> futures;
+        futures.reserve(count);
+        for (size_t idx = 0; idx < count; ++idx) {
+          futures.push_back(pool->Submit([&close, idx] { close(idx); }));
+        }
+        for (auto& f : futures) f.get();
+      } else {
+        for (size_t idx = 0; idx < count; ++idx) close(idx);
       }
-      for (auto& f : futures) f.get();
-      if (token->cancelled()) {
-        out.detail = "analysis cancelled";
-        return out;
-      }
-      size_t winner = first_certified.load(std::memory_order_acquire);
-      if (winner < count) {
-        return certified(std::move(results[winner]), winner);
-      }
+      first = first_certified.load(std::memory_order_acquire);
+      if (token->cancelled() || first < count) return false;
       for (const ClosureAttempt& r : results) {
         if (r.outcome != ClosureOutcome::kProof) all_failures_proven = false;
       }
-    } else {
-      for (size_t idx = 0; idx < count; ++idx) {
-        if (token->cancelled()) {
-          out.detail = "analysis cancelled";
-          return out;
-        }
-        ClosureAttempt attempt = evaluate(dominators[idx]);
-        if (attempt.outcome == ClosureOutcome::kCertified) {
-          return certified(std::move(attempt), idx);
-        }
-        if (attempt.outcome != ClosureOutcome::kProof) {
-          all_failures_proven = false;
-        }
-      }
+      closed += static_cast<int64_t>(count);
+      batch.clear();
+      return true;
+    };
+
+    const bool complete = EnumerateDominators(
+        draft.d.graph, [&](const std::vector<NodeId>& dom_nodes) {
+          if (closed + static_cast<int64_t>(batch.size()) == budget) {
+            over_budget = true;
+            return false;
+          }
+          batch.push_back(draft.d.EntitiesOf(dom_nodes));
+          return batch.size() < batch_size || close_batch();
+        });
+    if (complete || over_budget) close_batch();
+
+    StageOutcome out;
+    if (token->cancelled()) {
+      out.detail = "analysis cancelled";
+      return out;
     }
-    out.work = static_cast<int64_t>(count);
-    if (enumeration_complete && all_failures_proven) {
+    if (first < batch.size()) {
+      out.decided = true;
+      out.verdict = SafetyVerdict::kUnsafe;
+      out.method = DecisionMethod::kCorollary2;
+      out.detail = "system closes with respect to a dominator of D";
+      out.certificate = std::move(results[first].certificate);
+      out.work = closed + static_cast<int64_t>(first) + 1;
+      return out;
+    }
+    out.work = closed;
+    if (over_budget) {
+      out.budget_exhausted = true;
+      out.detail = StrCat("dominator search exceeded max_dominators = ",
+                          budget, " without a closed dominator");
+    } else if (complete && all_failures_proven) {
       out.decided = true;
       out.verdict = SafetyVerdict::kSafe;
       out.method = DecisionMethod::kDominatorClosure;
       out.detail = StrCat(
-          "all ", dominators.size(),
+          "all ", closed,
           " dominators of D provably admit no closed extension pair");
     }
     return out;
@@ -260,143 +253,7 @@ class Corollary2ClosureStage : public DecisionProcedure {
 };
 
 // ---------------------------------------------------------------------------
-// Stage 4: SatExhaustive — the src/sat/ machinery as a >= 3-site fallback.
-//
-// Dominators of D are exactly the nonempty proper predecessor-closed node
-// subsets (graph/dominator.h), so they are the models of the CNF
-//     for every arc (u, v) of D:  x_v -> x_u        (predecessor-closed)
-//     (x_1 v ... v x_n)                             (nonempty)
-//     (~x_1 v ... v ~x_n)                           (proper)
-// over one variable per node of D. The stage enumerates models with the
-// DPLL solver, blocking each found model, and runs the Lemma 2/3 closure on
-// the corresponding dominator — Theorem 3 run in reverse: where the paper
-// compiles SAT into dominator search, this stage compiles dominator search
-// back into SAT. Exact on the same terms as the Corollary 2 stage: a
-// certified closure is UNSAFE; a completed (UNSAT-terminated) enumeration
-// whose closures all derived contradictions is SAFE.
-//
-// Its value over stage 3 is the search order: DPLL branching homes in on a
-// certifying model without materializing the (possibly exponential)
-// dominator list that AllDominators builds eagerly, and the per-solve
-// decision budget composes into one cumulative config.max_sat_decisions.
-
-class SatExhaustiveStage : public DecisionProcedure {
- public:
-  DecisionStageId stage() const override {
-    return DecisionStageId::kSatExhaustive;
-  }
-
-  bool Applicable(const PairSafetyReport& draft,
-                  const EngineConfig& config) const override {
-    return draft.sites_spanned >= 3 && config.max_sat_decisions > 0;
-  }
-
-  StageOutcome Decide(const Transaction& t1, const Transaction& t2,
-                      const PairSafetyReport& draft,
-                      EngineContext* ctx) const override {
-    StageOutcome out;
-    const Digraph& d = draft.d.graph;
-    const int n = d.NumNodes();
-    if (n < 2) return out;  // no proper nonempty subset can be interesting
-
-    // Predecessor-closure clauses, deduplicated (D may carry parallel
-    // arcs); variables are 1-based DIMACS, node v <-> variable v + 1.
-    std::set<std::pair<int, int>> arcs;
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v : d.OutNeighbors(u)) {
-        arcs.emplace(static_cast<int>(u), static_cast<int>(v));
-      }
-    }
-    std::vector<std::vector<int>> clauses;
-    clauses.reserve(arcs.size() + 2);
-    for (const auto& [u, v] : arcs) {
-      if (u == v) continue;
-      clauses.push_back({-(v + 1), u + 1});
-    }
-    std::vector<int> nonempty;
-    std::vector<int> proper;
-    for (int v = 1; v <= n; ++v) {
-      nonempty.push_back(v);
-      proper.push_back(-v);
-    }
-    clauses.push_back(std::move(nonempty));
-    clauses.push_back(std::move(proper));
-    Cnf cnf = MakeCnf(n, clauses);
-
-    CancellationToken* token = ctx->cancel_token();
-    int64_t remaining = ctx->config().max_sat_decisions;
-    int64_t models = 0;
-    bool all_failures_proven = true;
-    obs::TraceSpan models_span(ctx->trace(), wire::kSpanSatModels);
-    while (true) {
-      if (token->cancelled()) {
-        out.detail = "analysis cancelled";
-        out.work = models;
-        return out;
-      }
-      if (remaining <= 0) {
-        out.budget_exhausted = true;
-        out.detail = StrCat("SAT dominator enumeration exceeded ",
-                            ctx->config().max_sat_decisions,
-                            " DPLL decisions after ", models, " models");
-        out.work = models;
-        return out;
-      }
-      auto solved = SolveSat(cnf, remaining);
-      if (!solved.ok()) {
-        out.budget_exhausted =
-            solved.status().code() == StatusCode::kResourceExhausted;
-        out.detail = solved.status().ToString();
-        out.work = models;
-        return out;
-      }
-      remaining -= std::max<int64_t>(int64_t{1}, solved->decisions);
-      if (!solved->satisfiable) break;  // all dominators enumerated
-      ++models;
-
-      std::vector<NodeId> dom_nodes;
-      std::vector<int> blocking;
-      blocking.reserve(n);
-      for (int v = 1; v <= n; ++v) {
-        if (solved->assignment[v]) {
-          dom_nodes.push_back(static_cast<NodeId>(v - 1));
-          blocking.push_back(-v);
-        } else {
-          blocking.push_back(v);
-        }
-      }
-      ClosureAttempt attempt =
-          TryCloseDominator(t1, t2, draft.d.EntitiesOf(dom_nodes));
-      if (attempt.outcome == ClosureOutcome::kCertified) {
-        return CertifiedOutcome(
-            DecisionMethod::kSatExhaustive,
-            StrCat("SAT-guided dominator search: model ", models,
-                   " closes with respect to a dominator of D"),
-            std::move(attempt), models);
-      }
-      if (attempt.outcome != ClosureOutcome::kProof) {
-        all_failures_proven = false;
-      }
-      Clause block;
-      block.reserve(blocking.size());
-      for (int lit : blocking) block.push_back(Literal::FromEncoded(lit));
-      cnf.clauses.push_back(std::move(block));
-    }
-    out.work = models;
-    if (all_failures_proven) {
-      out.decided = true;
-      out.verdict = SafetyVerdict::kSafe;
-      out.method = DecisionMethod::kSatExhaustive;
-      out.detail = StrCat("SAT enumeration exhausted all ", models,
-                          " dominators of D; every closure derives a "
-                          "contradiction");
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Stage 5: the exhaustive Lemma 1 fallback — enumerate extension pairs.
+// Stage 4: the exhaustive Lemma 1 fallback — enumerate extension pairs.
 
 class BruteForceLemma1Stage : public DecisionProcedure {
  public:
@@ -447,9 +304,6 @@ std::unique_ptr<DecisionProcedure> MakeTheorem2TwoSiteStage() {
 }
 std::unique_ptr<DecisionProcedure> MakeCorollary2ClosureStage() {
   return std::make_unique<Corollary2ClosureStage>();
-}
-std::unique_ptr<DecisionProcedure> MakeSatExhaustiveStage() {
-  return std::make_unique<SatExhaustiveStage>();
 }
 std::unique_ptr<DecisionProcedure> MakeBruteForceLemma1Stage() {
   return std::make_unique<BruteForceLemma1Stage>();

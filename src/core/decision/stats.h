@@ -6,20 +6,19 @@
 
 namespace dislock {
 
-/// The five registered stages of the default decision pipeline, in run
+/// The four registered stages of the default decision pipeline, in run
 /// order. The enum doubles as the index into PipelineStats::stages.
 enum class DecisionStageId {
   kTheorem1Scc = 0,
   kTheorem2TwoSite,
   kCorollary2Closure,
-  kSatExhaustive,
   kBruteForceLemma1,
 };
 
-inline constexpr int kNumDecisionStages = 5;
+inline constexpr int kNumDecisionStages = 4;
 
 /// Stable stage name: "theorem1-scc", "theorem2-two-site",
-/// "corollary2-closure", "sat-exhaustive", "brute-force-lemma1".
+/// "corollary2-closure", "brute-force-lemma1".
 const char* DecisionStageName(DecisionStageId stage);
 
 /// Per-stage counters. For a single pair analysis each of
@@ -36,9 +35,9 @@ struct StageCounters {
   int64_t decided = 0;           ///< stage terminated the pipeline
   int64_t skipped = 0;           ///< inapplicable, cancelled, or already decided
   int64_t budget_exhausted = 0;  ///< stage gave up on its budget (not silent)
-  /// Deterministic stage-specific work units: dominators enumerated
-  /// (corollary2-closure), SAT models examined (sat-exhaustive), extension
-  /// pairs checked (brute-force-lemma1), 1 for the constant-work tests.
+  /// Deterministic stage-specific work units: dominators closed
+  /// (corollary2-closure), extension pairs checked (brute-force-lemma1), 1
+  /// for the constant-work tests.
   int64_t work = 0;
   double wall_ms = 0.0;  ///< measured; never serialized (nondeterministic)
 

@@ -65,8 +65,8 @@ Result<PairSafetyReport> TwoSiteSafetyTest(const Transaction& t1,
 
 /// The general pair analyzer: runs the default DecisionPipeline
 /// (core/decision/pipeline.h) — Theorem1Scc, Theorem2TwoSite,
-/// Corollary2Closure, SatExhaustive, BruteForceLemma1 — with early exit at
-/// the first stage that decides, recording per-stage statistics in
+/// Corollary2Closure, BruteForceLemma1 — with early exit at the first stage
+/// that decides, recording per-stage statistics in
 /// PairSafetyReport::pipeline. See the pipeline header for the stage
 /// contract and docs/pipeline.md for the architecture.
 PairSafetyReport AnalyzePairSafety(const Transaction& t1,

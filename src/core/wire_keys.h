@@ -29,7 +29,6 @@ inline constexpr const char* kDecisionMethodNames[] = {
     "theorem-2",         // DecisionMethod::kTheorem2
     "corollary-2",       // DecisionMethod::kCorollary2
     "dominator-closure", // DecisionMethod::kDominatorClosure
-    "sat-exhaustive",    // DecisionMethod::kSatExhaustive
     "exhaustive",        // DecisionMethod::kExhaustive
 };
 inline constexpr int kNumDecisionMethodNames =
@@ -39,7 +38,6 @@ inline constexpr const char* kDecisionStageNames[] = {
     "theorem1-scc",        // DecisionStageId::kTheorem1Scc
     "theorem2-two-site",   // DecisionStageId::kTheorem2TwoSite
     "corollary2-closure",  // DecisionStageId::kCorollary2Closure
-    "sat-exhaustive",      // DecisionStageId::kSatExhaustive
     "brute-force-lemma1",  // DecisionStageId::kBruteForceLemma1
 };
 inline constexpr int kNumDecisionStageNames =
@@ -157,13 +155,12 @@ inline constexpr char kCacheFileGeneration[] = "cache_file_generation";
 // pre-joined by kStageSpanNames.
 inline constexpr char kSpanPoolTask[] = "pool.task";
 inline constexpr const char* kStageSpanNames[] = {
-    "stage.theorem1-scc",       "stage.theorem2-two-site",
-    "stage.corollary2-closure", "stage.sat-exhaustive",
+    "stage.theorem1-scc",
+    "stage.theorem2-two-site",
+    "stage.corollary2-closure",
     "stage.brute-force-lemma1",
 };
-inline constexpr char kSpanClosureDominators[] = "closure.dominators";
 inline constexpr char kSpanClosureDominator[] = "closure.dominator";
-inline constexpr char kSpanSatModels[] = "sat.models";
 inline constexpr char kSpanMultiPairs[] = "multi.pairs";
 inline constexpr char kSpanMultiCycles[] = "multi.cycles";
 inline constexpr char kSpanIncrementalDiff[] = "incremental.diff";

@@ -63,64 +63,65 @@ struct EnumCtx {
   FlatSccMembers members;
   int num_components;
   uint8_t* chosen;
-  int64_t max_count;
-  std::vector<std::vector<NodeId>>* out;
+  std::vector<NodeId> x;  ///< the dominator handed to the visitor
+  const DominatorVisitor* visit;
 };
 
-void EnumerateDownSets(EnumCtx& ctx, int pos, int num_chosen) {
-  if (static_cast<int64_t>(ctx.out->size()) >= ctx.max_count) return;
+/// False once the visitor has stopped the enumeration.
+bool EnumerateDownSets(EnumCtx& ctx, int pos, int num_chosen) {
   const int kC = ctx.num_components;
   if (pos == kC) {
-    if (num_chosen == 0 || num_chosen == kC) return;  // nonempty and proper
-    std::vector<NodeId> x;
+    if (num_chosen == 0 || num_chosen == kC) return true;  // nonempty, proper
+    ctx.x.clear();
     for (int c = 0; c < kC; ++c) {
       if (ctx.chosen[c]) {
-        x.insert(x.end(), ctx.members.nodes + ctx.members.offsets[c],
-                 ctx.members.nodes + ctx.members.offsets[c + 1]);
+        ctx.x.insert(ctx.x.end(), ctx.members.nodes + ctx.members.offsets[c],
+                     ctx.members.nodes + ctx.members.offsets[c + 1]);
       }
     }
-    std::sort(x.begin(), x.end());
-    ctx.out->push_back(std::move(x));
-    return;
+    std::sort(ctx.x.begin(), ctx.x.end());
+    return (*ctx.visit)(ctx.x);
   }
   const int c = kC - 1 - pos;  // descending id = topological order
-  EnumerateDownSets(ctx, pos + 1, num_chosen);
-  bool can_include = true;
+  if (!EnumerateDownSets(ctx, pos + 1, num_chosen)) return false;
   for (const NodeId* p = ctx.cond_in->begin(c); p != ctx.cond_in->end(c);
        ++p) {
-    if (!ctx.chosen[*p]) {
-      can_include = false;
-      break;
-    }
+    if (!ctx.chosen[*p]) return true;  // a predecessor is excluded
   }
-  if (can_include) {
-    ctx.chosen[c] = 1;
-    EnumerateDownSets(ctx, pos + 1, num_chosen + 1);
-    ctx.chosen[c] = 0;
-  }
+  ctx.chosen[c] = 1;
+  const bool more = EnumerateDownSets(ctx, pos + 1, num_chosen + 1);
+  ctx.chosen[c] = 0;
+  return more;
 }
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> AllDominators(const Digraph& g,
-                                                   int64_t max_count) {
-  std::vector<std::vector<NodeId>> out;
-  if (g.NumNodes() < 2 || max_count <= 0) return out;
+bool EnumerateDominators(const Digraph& g, const DominatorVisitor& visit) {
+  if (g.NumNodes() < 2) return true;
   Arena* arena = ScratchArena();
   ArenaScope scope(arena);
   CsrGraph csr = BuildCsr(g, arena);
   FlatScc scc = SccOnCsr(csr, arena);
-  if (scc.num_components == 1) return out;
-  EnumCtx ctx;
+  if (scc.num_components == 1) return true;
   CsrGraph cond_in = CondensationInArcsOnCsr(csr, scc, arena);
+  EnumCtx ctx;
   ctx.cond_in = &cond_in;
   ctx.members = GroupSccMembers(scc, g.NumNodes(), arena);
   ctx.num_components = scc.num_components;
   ctx.chosen =
       arena->AllocateZeroed<uint8_t>(static_cast<size_t>(scc.num_components));
-  ctx.max_count = max_count;
-  ctx.out = &out;
-  EnumerateDownSets(ctx, 0, 0);
+  ctx.visit = &visit;
+  return EnumerateDownSets(ctx, 0, 0);
+}
+
+std::vector<std::vector<NodeId>> AllDominators(const Digraph& g,
+                                                   int64_t max_count) {
+  std::vector<std::vector<NodeId>> out;
+  if (max_count <= 0) return out;
+  EnumerateDominators(g, [&](const std::vector<NodeId>& x) {
+    out.push_back(x);
+    return static_cast<int64_t>(out.size()) < max_count;
+  });
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define DISLOCK_GRAPH_DOMINATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -26,15 +27,24 @@ bool IsDominator(const Digraph& g, const std::vector<NodeId>& candidate);
 /// qualifies as interesting).
 Result<std::vector<NodeId>> FindDominator(const Digraph& g);
 
-/// Enumerates all dominators of `g`, up to `max_count`. Dominators are
+/// Visitor for EnumerateDominators: receives one dominator as a sorted
+/// vector of node ids (valid only for the call); return false to stop.
+using DominatorVisitor = std::function<bool(const std::vector<NodeId>&)>;
+
+/// Streams the dominators of `g` to `visit`, one at a time. Dominators are
 /// in bijection with the nonempty proper predecessor-closed unions of SCCs
 /// (down-sets of the reversed condensation DAG); there can be exponentially
-/// many, so callers must bound `max_count`. Each dominator is returned as a
-/// sorted vector of node ids. Both functions run on a CSR lowering of `g`
-/// (graph/csr.h) with arena scratch.
+/// many, so the visitor owns the budget and stops the enumeration when it
+/// is spent. Returns true iff the enumeration completed, i.e. the visitor
+/// never returned false. Runs on a CSR lowering of `g` (graph/csr.h) with
+/// arena scratch; the visitor may use the scratch arena itself.
 ///
-/// Used by the Theorem 3 machinery, where dominators of D(T1(F), T2(F))
-/// encode truth assignments (Fig. 8 of the paper).
+/// Used by the Corollary 2 closure stage and the Theorem 3 machinery, where
+/// dominators of D(T1(F), T2(F)) encode truth assignments (Fig. 8 of the
+/// paper).
+bool EnumerateDominators(const Digraph& g, const DominatorVisitor& visit);
+
+/// The first `max_count` dominators of EnumerateDominators, collected.
 std::vector<std::vector<NodeId>> AllDominators(const Digraph& g,
                                                int64_t max_count);
 

@@ -232,7 +232,6 @@ TEST(PairSafetyPass, BudgetExhaustionGetsDl005Warning) {
   TransactionSystem system = MakeThreeSiteUnsafeSystem(&db);
   AnalysisOptions options;
   options.max_dominators = 0;       // dominator loop can't finish
-  options.max_sat_decisions = 0;    // no SAT-guided enumeration either
   options.max_extension_pairs = 0;  // no exhaustive fallback
   AnalysisResult result = AnalyzeSystem(system, options);
   auto warnings = WithRule(result, "DL005");

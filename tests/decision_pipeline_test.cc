@@ -1,8 +1,9 @@
 // Tests for the tiered DecisionPipeline (core/decision/): per-stage
 // statistics (attempts / decided / skipped / budget-exhausted / work),
-// stage applicability and early exit, the SAT-exhaustive stage against the
-// Lemma 1 brute-force oracle, pipeline-vs-legacy-cascade verdict equality
-// on randomized workloads, and stats aggregation in MultiSafetyReport.
+// stage applicability and early exit, the streamed dominator search on
+// Theorem 3 gadgets at the default budget, pipeline-vs-legacy-cascade
+// verdict equality on randomized workloads, and stats aggregation in
+// MultiSafetyReport.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "core/report.h"
 #include "core/safety.h"
 #include "cache/verdict_cache.h"
+#include "gen/family.h"
 #include "sim/workload.h"
 #include "util/string_util.h"
 
@@ -60,7 +62,6 @@ TEST(PipelineStats, DecidedAtFirstStageSkipsEverythingLater) {
   EXPECT_EQ(Stage(report, DecisionStageId::kTheorem1Scc).work, 1);
   for (DecisionStageId later :
        {DecisionStageId::kTheorem2TwoSite, DecisionStageId::kCorollary2Closure,
-        DecisionStageId::kSatExhaustive,
         DecisionStageId::kBruteForceLemma1}) {
     EXPECT_EQ(Stage(report, later).attempts, 0) << DecisionStageName(later);
     EXPECT_EQ(Stage(report, later).skipped, 1) << DecisionStageName(later);
@@ -83,7 +84,6 @@ TEST(PipelineStats, TwoSiteStageIsTerminalAndLaterStagesSkip) {
   EXPECT_EQ(Stage(report, DecisionStageId::kTheorem2TwoSite).attempts, 1);
   EXPECT_EQ(Stage(report, DecisionStageId::kTheorem2TwoSite).decided, 1);
   EXPECT_EQ(Stage(report, DecisionStageId::kCorollary2Closure).skipped, 1);
-  EXPECT_EQ(Stage(report, DecisionStageId::kSatExhaustive).skipped, 1);
   EXPECT_EQ(Stage(report, DecisionStageId::kBruteForceLemma1).skipped, 1);
   ExpectOneTouchPerStage(report.pipeline, 1);
 }
@@ -105,22 +105,20 @@ TEST(PipelineStats, ClosureStageDecidesFig5AndCountsItsWork) {
       Stage(report, DecisionStageId::kCorollary2Closure);
   EXPECT_EQ(closure.attempts, 1);
   EXPECT_EQ(closure.decided, 1);
-  EXPECT_GE(closure.work, 1);  // dominators enumerated
-  EXPECT_EQ(Stage(report, DecisionStageId::kSatExhaustive).skipped, 1);
+  EXPECT_GE(closure.work, 1);  // dominators closed
   EXPECT_EQ(Stage(report, DecisionStageId::kBruteForceLemma1).skipped, 1);
   ExpectOneTouchPerStage(report.pipeline, 1);
 }
 
 TEST(PipelineStats, BudgetExhaustionIsCountedNotSwallowed) {
   // Zeroed dominator budget: the closure stage attempts, exhausts, and
-  // does not decide. A one-decision SAT budget and a tiny extension-pair
-  // budget do the same for the two fallback stages. The final verdict is
-  // kUnknown with method "none", and every starved stage reports
-  // budget_exhausted — nothing fails silently.
+  // does not decide. A tiny extension-pair budget does the same for the
+  // Lemma 1 fallback. The final verdict is kUnknown with method "none",
+  // and both starved stages report budget_exhausted — nothing fails
+  // silently.
   PaperInstance inst = MakeFig5Instance();
   SafetyOptions options;
   options.max_dominators = 0;
-  options.max_sat_decisions = 1;
   options.max_extension_pairs = 1;
   PairSafetyReport report =
       AnalyzePairSafety(inst.system->txn(0), inst.system->txn(1), options);
@@ -132,10 +130,6 @@ TEST(PipelineStats, BudgetExhaustionIsCountedNotSwallowed) {
   EXPECT_EQ(closure.attempts, 1);
   EXPECT_EQ(closure.decided, 0);
   EXPECT_EQ(closure.budget_exhausted, 1);
-  const StageCounters& sat = Stage(report, DecisionStageId::kSatExhaustive);
-  EXPECT_EQ(sat.attempts, 1);
-  EXPECT_EQ(sat.decided, 0);
-  EXPECT_EQ(sat.budget_exhausted, 1);
   const StageCounters& brute =
       Stage(report, DecisionStageId::kBruteForceLemma1);
   EXPECT_EQ(brute.attempts, 1);
@@ -143,124 +137,63 @@ TEST(PipelineStats, BudgetExhaustionIsCountedNotSwallowed) {
   EXPECT_EQ(brute.budget_exhausted, 1);
   // The detail explains the last failing fallback rather than a generic
   // shrug.
-  EXPECT_FALSE(report.detail.empty());
+  EXPECT_NE(report.detail.find("ResourceExhausted"), std::string::npos)
+      << report.detail;
   ExpectOneTouchPerStage(report.pipeline, 1);
 }
 
-TEST(PipelineStats, ZeroBudgetDisablesAStageOutright) {
-  // max_sat_decisions == 0 means "not applicable", restoring the
-  // pre-pipeline cascade: the stage is skipped, never attempted, and
-  // cannot claim a budget exhaustion it never had.
-  PaperInstance inst = MakeFig5Instance();
-  SafetyOptions options;
-  options.max_sat_decisions = 0;
-  PairSafetyReport report =
-      AnalyzePairSafety(inst.system->txn(0), inst.system->txn(1), options);
-  ASSERT_EQ(report.verdict, SafetyVerdict::kSafe);  // closure still decides
-  const StageCounters& sat = Stage(report, DecisionStageId::kSatExhaustive);
-  EXPECT_EQ(sat.attempts, 0);
-  EXPECT_EQ(sat.skipped, 1);
-  EXPECT_EQ(sat.budget_exhausted, 0);
-}
-
-TEST(SatExhaustive, DecidesFig5WhenClosureEnumerationIsDisabled) {
-  // With the Corollary 2 enumeration starved, the SAT stage must carry the
-  // pair on its own — same verdict, method "sat-exhaustive".
+TEST(PipelineStats, ExhaustedDominatorBudgetIsNamedInTheDetail) {
+  // With the Lemma 1 fallback off, an undecided pair's detail names the
+  // budget that ran out and its value.
   PaperInstance inst = MakeFig5Instance();
   SafetyOptions options;
   options.max_dominators = 0;
+  options.max_extension_pairs = 0;
   PairSafetyReport report =
       AnalyzePairSafety(inst.system->txn(0), inst.system->txn(1), options);
-  EXPECT_EQ(report.verdict, SafetyVerdict::kSafe);
-  EXPECT_EQ(report.method, DecisionMethod::kSatExhaustive);
-  const StageCounters& sat = Stage(report, DecisionStageId::kSatExhaustive);
-  EXPECT_EQ(sat.attempts, 1);
-  EXPECT_EQ(sat.decided, 1);
-  EXPECT_GE(sat.work, 1);  // models examined
+  EXPECT_EQ(report.verdict, SafetyVerdict::kUnknown);
+  EXPECT_EQ(report.detail,
+            "dominator search exceeded max_dominators = 0 without a closed "
+            "dominator");
+  const StageCounters& closure =
+      Stage(report, DecisionStageId::kCorollary2Closure);
+  EXPECT_EQ(closure.budget_exhausted, 1);
+  EXPECT_EQ(closure.work, 0);
 }
 
-TEST(SatExhaustive, UnsafeVerdictsCarryVerifiedCertificates) {
-  // SAT-found dominators must produce the same kind of checkable
-  // certificate as the direct enumeration.
-  Rng rng(7101);
-  int unsafe_seen = 0;
-  for (int trial = 0; trial < 40 && unsafe_seen < 3; ++trial) {
-    WorkloadParams params;
-    params.num_sites = 3 + static_cast<int>(rng.Uniform(2));
-    params.num_entities = 3 + static_cast<int>(rng.Uniform(2));
-    params.num_transactions = 2;
-    params.lock_probability = 0.8;
-    params.cross_site_arcs = static_cast<int>(rng.Uniform(3));
-    Workload w = MakeRandomWorkload(params, &rng);
-    ASSERT_TRUE(w.system->Validate().ok());
-    if (SitesSpanned(w.system->txn(0), w.system->txn(1)) < 3) continue;
-
-    SafetyOptions options;
-    options.max_dominators = 0;       // force the SAT stage to do the work
-    options.max_extension_pairs = 0;  // and forbid the brute-force rescue
-    PairSafetyReport report =
-        AnalyzePairSafety(w.system->txn(0), w.system->txn(1), options);
-    if (report.method != DecisionMethod::kSatExhaustive ||
-        report.verdict != SafetyVerdict::kUnsafe) {
-      continue;
-    }
-    ++unsafe_seen;
-    ASSERT_TRUE(report.certificate.has_value()) << w.system->ToString();
-    EXPECT_TRUE(VerifyUnsafetyCertificate(w.system->txn(0), w.system->txn(1),
-                                          *report.certificate)
-                    .ok())
-        << w.system->ToString();
-  }
-  EXPECT_GE(unsafe_seen, 1);
-}
-
-TEST(SatVsBruteSweep, SatStageAgreesWithLemma1OnSmallMultiSitePairs) {
-  Rng rng(9000);
-  int compared = 0;
-  int safe_seen = 0;
-  int unsafe_seen = 0;
-  for (int trial = 0; trial < 80; ++trial) {
-    WorkloadParams params;
-    params.num_sites = 3 + static_cast<int>(rng.Uniform(2));
-    params.num_entities = 3 + static_cast<int>(rng.Uniform(2));
-    params.num_transactions = 2;
-    params.lock_probability = 0.7 + 0.3 * rng.UniformDouble();
-    params.cross_site_arcs = static_cast<int>(rng.Uniform(3));
-    Workload w = MakeRandomWorkload(params, &rng);
-    ASSERT_TRUE(w.system->Validate().ok());
-    if (SitesSpanned(w.system->txn(0), w.system->txn(1)) < 3) continue;
-
-    SafetyOptions options;
-    options.max_dominators = 0;       // starve Corollary 2
-    options.max_extension_pairs = 0;  // disable brute force in the pipeline
-    PairSafetyReport sat_report =
-        AnalyzePairSafety(w.system->txn(0), w.system->txn(1), options);
-    // Theorem 1 may still claim strongly connected pairs; the comparison
-    // targets decisions the SAT stage itself made.
-    if (sat_report.method != DecisionMethod::kSatExhaustive) continue;
-
-    auto oracle = ExhaustivePairSafety(w.system->txn(0), w.system->txn(1),
-                                       1 << 18);
-    if (!oracle.ok()) continue;  // pair too wide for the oracle budget
-    ++compared;
-    if (oracle->safe) ++safe_seen; else ++unsafe_seen;
-    EXPECT_EQ(sat_report.verdict == SafetyVerdict::kSafe, oracle->safe)
-        << w.system->ToString();
-  }
-  // The sweep must actually exercise the SAT stage, not vacuously pass.
-  // (Random non-strongly-connected multi-site pairs are virtually always
-  // unsafe; the safe SAT outcome is pinned by the Fig. 5 test above.)
-  EXPECT_GE(compared, 5);
-  EXPECT_GE(unsafe_seen, 1);
-  (void)safe_seen;
+// Theorem 3 run backwards: dominators of the reduced pair encode truth
+// assignments, so the default budget must find a satisfying one quickly.
+// (Reduction.UnsatisfiableFormulaGivesSafePair pins the SAFE side.)
+TEST(DominatorSearch, SatisfiableGadgetIsUnsafeWithAVerifiedCertificate) {
+  auto workload =
+      gen::BuildFamily("sat_gadget", {{"vars", 8}, {"clauses", 16}}, 1);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const Transaction& t1 = workload->system->txn(0);
+  const Transaction& t2 = workload->system->txn(1);
+  PairSafetyReport report = AnalyzePairSafety(t1, t2);
+  ASSERT_EQ(report.verdict, SafetyVerdict::kUnsafe) << report.detail;
+  EXPECT_EQ(report.method, DecisionMethod::kCorollary2);
+  ASSERT_TRUE(report.certificate.has_value());
+  EXPECT_TRUE(VerifyUnsafetyCertificate(t1, t2, *report.certificate).ok());
+  // Streaming stops at the certifying dominator, well inside the budget.
+  EXPECT_LT(Stage(report, DecisionStageId::kCorollary2Closure).work,
+            EngineConfig{}.max_dominators);
+  EXPECT_EQ(Stage(report, DecisionStageId::kBruteForceLemma1).skipped, 1);
+  // Thousands of dominators span many pool batches; the first certifying
+  // index still wins, so the report is bit-identical to the serial one.
+  EngineConfig parallel;
+  parallel.num_threads = 4;
+  EXPECT_EQ(PairReportToJson(AnalyzePairSafety(t1, t2, parallel),
+                             workload->system->db()),
+            PairReportToJson(report, workload->system->db()));
 }
 
 // The pre-refactor cascade, reimplemented from the public primitives it
 // was built out of: Theorem 1, then the complete two-site test, then (for
 // >= 3 sites) the Lemma 1 enumeration as ground truth. The pipeline with
-// the closure and SAT stages disabled must reproduce it verdict-for-
-// verdict; with all stages enabled it may only improve kUnknown, never
-// flip a decided verdict.
+// the closure stage starved must reproduce it verdict-for-verdict; with
+// all stages enabled it may only improve kUnknown, never flip a decided
+// verdict.
 SafetyVerdict LegacyCascade(const Transaction& t1, const Transaction& t2,
                             int64_t max_extension_pairs) {
   if (Theorem1Sufficient(t1, t2)) return SafetyVerdict::kSafe;
@@ -292,8 +225,7 @@ TEST_P(LegacyEquivalenceSweep, PipelineMatchesLegacyCascade) {
 
     SafetyOptions minimal;
     minimal.max_extension_pairs = 1 << 15;
-    minimal.max_dominators = 0;    // closure enumeration off
-    minimal.max_sat_decisions = 0;  // SAT stage off
+    minimal.max_dominators = 0;  // closure enumeration off
     PairSafetyReport pipeline_report = AnalyzePairSafety(t1, t2, minimal);
     EXPECT_EQ(pipeline_report.verdict,
               LegacyCascade(t1, t2, minimal.max_extension_pairs))
@@ -317,8 +249,7 @@ TEST(PipelineApi, DefaultStageNamesAreStableAndOrdered) {
   EXPECT_EQ(names[0], "theorem1-scc");
   EXPECT_EQ(names[1], "theorem2-two-site");
   EXPECT_EQ(names[2], "corollary2-closure");
-  EXPECT_EQ(names[3], "sat-exhaustive");
-  EXPECT_EQ(names[4], "brute-force-lemma1");
+  EXPECT_EQ(names[3], "brute-force-lemma1");
 }
 
 TEST(PipelineApi, CancelledContextYieldsUnknownNotPartialVerdict) {

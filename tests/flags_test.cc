@@ -405,5 +405,28 @@ TEST(Flags, AnalyzeOverTheStateBudgetReportsThePassVerdict) {
       << text;
 }
 
+// A Theorem 3 gadget with thousands of dominators is decided at the
+// default budget: the streamed dominator search stops at the first that
+// closes and the certificate rides along.
+TEST(Flags, AnalyzeDecidesASatGadgetAtTheDefaultDominatorBudget) {
+  auto workload =
+      gen::BuildFamily("sat_gadget", {{"vars", 8}, {"clauses", 16}}, 1);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const std::string path = testing::TempDir() + "sat_gadget_v8c16.dlk";
+  {
+    std::ofstream out(path);
+    out << SystemToText(*workload->system);
+  }
+  std::string json;
+  ASSERT_EQ(RunTool(std::string(DISLOCK_CLI_BIN) + " analyze " + path +
+                        " --no-deadlock --json",
+                    &json),
+            0)
+      << json;
+  EXPECT_NE(json.find("\"rule\": \"DL004\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"certificate\": {"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"rule\": \"DL005\""), std::string::npos) << json;
+}
+
 }  // namespace
 }  // namespace dislock

@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/brute_force.h"
+#include "core/certificate.h"
 #include "core/closure.h"
 #include "core/conflict_graph.h"
 #include "core/decision/context.h"
@@ -36,6 +39,7 @@
 #include "txn/system.h"
 #include "util/arena.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace dislock {
 namespace {
@@ -212,10 +216,19 @@ TEST(FlatKernel, DominatorsFlatEqualsLegacyIncludingOrder) {
     } else {
       EXPECT_EQ(got.status().ToString(), ref.status().ToString());
     }
-    for (int64_t max_count : {int64_t{1} << 16, int64_t{3}}) {
-      EXPECT_EQ(AllDominators(g, max_count),
-                reference::AllDominators(g, max_count))
-          << "trial " << trial << " max_count=" << max_count;
+    // The stream in full, then stopped after every k: AllDominators(g, k)
+    // is the stream's first k.
+    const auto all = reference::AllDominators(g, int64_t{1} << 16);
+    std::vector<std::vector<NodeId>> streamed;
+    EXPECT_TRUE(EnumerateDominators(g, [&](const std::vector<NodeId>& x) {
+      streamed.push_back(x);
+      return true;
+    })) << "trial " << trial;
+    EXPECT_EQ(streamed, all) << "trial " << trial;
+    for (size_t k = 1; k <= all.size(); ++k) {
+      EXPECT_EQ(AllDominators(g, static_cast<int64_t>(k)),
+                reference::AllDominators(g, static_cast<int64_t>(k)))
+          << "trial " << trial << " k=" << k;
     }
   }
 }
@@ -277,6 +290,58 @@ TEST(FlatKernel, ClosureFlatEqualsLegacyOnRandomPairs) {
   }
   // The generator parameters above must actually produce conflicting pairs.
   EXPECT_GT(interesting, 10);
+}
+
+// The streaming Lemma 1 oracle against the materializing reference, at
+// every budget from 0 to one past the pairs a decision needs: budgets that
+// decide, run out mid-pair, and reject T1 or T2 outright.
+TEST(FlatKernel, StreamedLemma1OracleMatchesMaterializingReference) {
+  Rng rng(19);
+  int unsafe = 0;
+  int exhausted = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    WorkloadParams params;
+    params.num_sites = 1 + static_cast<int>(rng.Uniform(4));
+    params.num_entities = 2 + static_cast<int>(rng.Uniform(3));
+    params.num_transactions = 2;
+    params.lock_probability = 0.8;
+    params.cross_site_arcs = static_cast<int>(rng.Uniform(4));
+    Workload w = MakeRandomWorkload(params, &rng);
+    const Transaction& t1 = w.system->txn(0);
+    const Transaction& t2 = w.system->txn(1);
+    auto full = reference::ExhaustivePairSafety(t1, t2, int64_t{1} << 16);
+    const int64_t needed = full.ok() ? full->combinations_checked : 40;
+    std::vector<int64_t> budgets = {int64_t{1} << 16};
+    for (int64_t b = 0; b <= std::min<int64_t>(needed + 1, 64); ++b) {
+      budgets.push_back(b);
+    }
+    for (int64_t max_pairs : budgets) {
+      const std::string what = StrCat("trial ", trial, " max_pairs=",
+                                      max_pairs, "\n", w.system->ToString());
+      auto got = ExhaustivePairSafety(t1, t2, max_pairs);
+      auto ref = reference::ExhaustivePairSafety(t1, t2, max_pairs);
+      ASSERT_EQ(got.ok(), ref.ok()) << what;
+      if (!got.ok()) {
+        EXPECT_EQ(got.status().ToString(), ref.status().ToString()) << what;
+        exhausted += got.status().code() == StatusCode::kResourceExhausted;
+        continue;
+      }
+      EXPECT_EQ(got->safe, ref->safe) << what;
+      EXPECT_EQ(got->combinations_checked, ref->combinations_checked)
+          << what;
+      ASSERT_EQ(got->certificate.has_value(), ref->certificate.has_value())
+          << what;
+      if (got->certificate.has_value()) {
+        ++unsafe;
+        EXPECT_EQ(CertificateToString(*got->certificate, *w.db),
+                  CertificateToString(*ref->certificate, *w.db))
+            << what;
+      }
+    }
+  }
+  // The sweep must reach both the unsafe and the over-budget paths.
+  EXPECT_GT(unsafe, 5);
+  EXPECT_GT(exhausted, 5);
 }
 
 TEST(FlatKernel, PairFingerprintMatchesReference) {

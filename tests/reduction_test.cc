@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/certificate.h"
 #include "core/closure.h"
 #include "core/conflict_graph.h"
@@ -117,24 +121,27 @@ TEST(Reduction, Fig8PairIsUnsafeBecauseFormulaIsSatisfiable) {
 }
 
 TEST(Reduction, UnsatisfiableFormulaGivesSafePair) {
-  // (x1 v x2) ^ (~x1 v x2) ^ (x1 v ~x2) ^ ... needs ~x1 ~x2 clause which
-  // would exceed the budget; craft a small unsat restricted instance:
-  // x1=x2 (cycle) with clauses forcing x1 and ~x2.
-  // (x1 v x2) (x1 v ~x2) (~x1 v x2): forces x1=1, x2=1... satisfiable.
-  // Use: (~x1 v x2) (x1 v x2) (x1 v ~x2) plus... instead normalize a
-  // clearly unsatisfiable formula.
-  Cnf unsat = MakeCnf(2, {{1, 2}, {1, -2}, {-1, 2}, {-1, -2}});
-  auto sat = SolveSat(unsat);
+  // data/unsat.cnf is every clause over two variables; normalized to
+  // restricted form and reduced, the default pipeline must prove the pair
+  // SAFE by closing every dominator and deriving a contradiction each time.
+  std::ifstream in(std::string(DISLOCK_SOURCE_DIR) + "/data/unsat.cnf");
+  std::stringstream text;
+  text << in.rdbuf();
+  auto unsat = ParseDimacs(text.str());
+  ASSERT_TRUE(unsat.ok()) << unsat.status().ToString();
+  auto sat = SolveSat(*unsat);
   ASSERT_TRUE(sat.ok());
   ASSERT_FALSE(sat->satisfiable);
-  auto restricted = NormalizeToRestricted(unsat);
+  auto restricted = NormalizeToRestricted(*unsat);
   ASSERT_TRUE(restricted.ok());
-  ASSERT_FALSE(restricted->trivially_sat);
-  if (restricted->trivially_unsat) GTEST_SKIP() << "decided at preprocessing";
+  ASSERT_FALSE(restricted->trivially_sat || restricted->trivially_unsat);
   ASSERT_TRUE(restricted->cnf.IsRestrictedForm());
   auto red = ReduceCnfToTransactions(restricted->cnf);
   ASSERT_TRUE(red.ok()) << red.status().ToString();
-  EXPECT_EQ(DecideReducedPair(*red), SafetyVerdict::kSafe);
+  PairSafetyReport report =
+      AnalyzePairSafety(red->system->txn(0), red->system->txn(1));
+  EXPECT_EQ(report.verdict, SafetyVerdict::kSafe) << report.detail;
+  EXPECT_EQ(report.method, DecisionMethod::kDominatorClosure);
 }
 
 // Generates a random formula that is ALREADY in restricted form (<= 2

@@ -11,6 +11,7 @@
 
 #include "core/conflict_graph.h"
 #include "graph/dominator.h"
+#include "txn/linear_extension.h"
 
 namespace dislock {
 namespace reference {
@@ -345,6 +346,78 @@ Digraph BuildCycleGraph(const SystemView& view,
     }
   }
   return b;
+}
+
+Result<ExhaustiveResult> ExhaustivePairSafety(const Transaction& t1,
+                                              const Transaction& t2,
+                                              int64_t max_pairs) {
+  auto positions = [](const std::vector<StepId>& order) {
+    std::vector<int> pos(order.size(), 0);
+    for (size_t i = 0; i < order.size(); ++i) {
+      pos[order[i]] = static_cast<int>(i);
+    }
+    return pos;
+  };
+  const std::vector<EntityId> common = ConflictingEntities(t1, t2);
+  const int k = static_cast<int>(common.size());
+  // A totally ordered pair is safe iff its D graph is strongly connected.
+  auto pair_safe = [&](const std::vector<int>& pos1,
+                       const std::vector<int>& pos2) {
+    if (k <= 1) return true;
+    Digraph d(k);
+    for (int i = 0; i < k; ++i) {
+      for (int j = 0; j < k; ++j) {
+        if (i != j && pos1[t1.LockStep(common[i])] <
+                          pos1[t1.UnlockStep(common[j])] &&
+            pos2[t2.LockStep(common[j])] < pos2[t2.UnlockStep(common[i])]) {
+          d.AddArc(i, j);
+        }
+      }
+    }
+    return StronglyConnectedComponents(d).num_components == 1;
+  };
+
+  std::vector<std::vector<StepId>> ext2;
+  std::vector<std::vector<int>> pos2;
+  DISLOCK_RETURN_NOT_OK(EnumerateLinearExtensions(
+      t2, max_pairs, [&](const std::vector<StepId>& order) {
+        ext2.push_back(order);
+        pos2.push_back(positions(order));
+        return true;
+      }));
+
+  ExhaustiveResult result;
+  result.safe = true;
+  bool exhausted = false;
+  std::vector<StepId> unsafe_order1, unsafe_order2;
+  DISLOCK_RETURN_NOT_OK(EnumerateLinearExtensions(
+      t1, max_pairs, [&](const std::vector<StepId>& order1) {
+        std::vector<int> pos1 = positions(order1);
+        for (size_t i = 0; i < ext2.size(); ++i) {
+          if (result.combinations_checked >= max_pairs) {
+            exhausted = true;
+            return false;
+          }
+          ++result.combinations_checked;
+          if (pair_safe(pos1, pos2[i])) continue;
+          result.safe = false;
+          unsafe_order1 = order1;
+          unsafe_order2 = ext2[i];
+          return false;
+        }
+        return true;
+      }));
+  if (!result.safe) {
+    DISLOCK_ASSIGN_OR_RETURN(
+        result.certificate,
+        BuildCertificateFromExtensions(t1, t2, unsafe_order1, unsafe_order2));
+    return result;
+  }
+  if (exhausted) {
+    return Status::ResourceExhausted(
+        "extension-pair budget exhausted before a decision");
+  }
+  return result;
 }
 
 }  // namespace reference

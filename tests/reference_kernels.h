@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/brute_force.h"
 #include "core/closure.h"
 #include "graph/digraph.h"
 #include "txn/system.h"
@@ -78,6 +79,15 @@ std::string PairFingerprint(const Transaction& t1, const Transaction& t2);
 /// union of the B_ijk along the cycle, nodes keyed by (unordered
 /// transaction pair, entity) and arcs deduplicated.
 Digraph BuildCycleGraph(const SystemView& view, const std::vector<int>& cycle);
+
+/// The Lemma 1 pair oracle with every extension of t2 materialized up
+/// front (with its position array), then t1's extensions streamed against
+/// the stored list. core/brute_force.cc streams both and must match it in
+/// visit order, combinations_checked, the unsafe pair, the certificate and
+/// the Status strings.
+Result<ExhaustiveResult> ExhaustivePairSafety(const Transaction& t1,
+                                              const Transaction& t2,
+                                              int64_t max_pairs);
 
 }  // namespace reference
 }  // namespace dislock

@@ -90,7 +90,6 @@ TEST(Analyzer, UnknownWhenAllFallbacksDisabled) {
   SafetyOptions options;
   options.max_extension_pairs = 0;
   options.max_dominators = 0;  // closure loop sees an incomplete enumeration
-  options.max_sat_decisions = 0;  // SAT-guided enumeration disabled too
   PairSafetyReport report =
       AnalyzePairSafety(inst.system->txn(0), inst.system->txn(1), options);
   EXPECT_EQ(report.verdict, SafetyVerdict::kUnknown);

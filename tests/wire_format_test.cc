@@ -192,7 +192,7 @@ TEST(WireKeys, VerdictStoreFileConstantsArePinned) {
   // Bumping the schema or generation constant invalidates every store on
   // every machine — it must be deliberate, so the values are pinned here.
   EXPECT_EQ(cache::kVerdictStoreSchemaVersion, 1u);
-  EXPECT_EQ(cache::kVerdictStoreGeneration, 1u);
+  EXPECT_EQ(cache::kVerdictStoreGeneration, 2u);
   EXPECT_STREQ(cache::kVerdictLogFileName, "verdicts.dlc");
   EXPECT_STREQ(cache::kVerdictIndexFileName, "verdicts.idx");
   EXPECT_STREQ(cache::kVerdictLockFileName, "verdicts.lock");
@@ -225,7 +225,7 @@ TEST(WireFormat, SessionStatsCacheBlockRequiresAStore) {
        {"\"cache\": {", "\"disk_hits\":", "\"disk_misses\":",
         "\"records_loaded\":", "\"records_flushed\":",
         "\"records_dropped\":", "\"disk_records\":",
-        "\"cache_file_generation\": 1"}) {
+        "\"cache_file_generation\": 2"}) {
     EXPECT_NE(with.find(key), std::string::npos) << key << "\n" << with;
   }
   std::istringstream lines(with);

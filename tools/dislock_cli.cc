@@ -510,7 +510,6 @@ int Reduce(const char* path) {
               red->db->NumSites());
   SafetyOptions options;
   options.max_extension_pairs = 0;
-  options.max_dominators = 1 << 16;
   PairSafetyReport report = AnalyzePairSafety(red->system->txn(0),
                                               red->system->txn(1), options);
   std::printf("safety: %s  =>  formula is %s\n",
